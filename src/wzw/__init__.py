@@ -11,6 +11,7 @@ for the command-line surface.
 
 from .qsqrt5 import GOLDEN, QSqrt5
 from .lie import (
+    InvariantError,
     LieAlgebraId,
     RootDatum,
     Weight,
@@ -87,6 +88,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GOLDEN",
     "QSqrt5",
+    "InvariantError",
     "LieAlgebraId",
     "RootDatum",
     "Weight",

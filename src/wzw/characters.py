@@ -5,9 +5,7 @@ imaginary direction.  Multiplicities come from the affine form of the
 Freudenthal recursion: the shifted-norm difference (including the level
 term 2 n (ell + h_vee)) multiplies the unknown, and the right side sums
 over the real roots at every imaginary displacement plus the rank-fold
-imaginary roots themselves.  The inner products are scaled by the common
-denominator of the weight-space form, so everything stays in integers and
-the final division is checked to be exact.
+imaginary roots themselves.  The final division is checked to be exact.
 
 The even unimodular rank-8 lattice gives an independent route to the same
 numbers for the E8 vacuum module: shell counts divided by the eighth power
@@ -18,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .embeddings import trace_anomaly
-from .lie import LieAlgebraId, Weight, build_root_datum
+from .lie import InvariantError, LieAlgebraId, Weight, build_root_datum
 
 
 class GradedModule:
@@ -43,40 +42,22 @@ class GradedModule:
         self.level = level
         self.highest = tuple(int(x) for x in highest.labels)
         self.datum = d
-
-        scale = 1
-        for row in d.form:
-            for x in row:
-                assert x > 0  # monotone norm pruning below relies on this
-                scale = math.lcm(scale, x.denominator)
-        self._scale = scale
-        self._form_s = tuple(tuple(int(x * scale) for x in row) for row in d.form)
-        self._theta = d.root_labels(d.highest_root)
-        self._pos_root_labels = tuple(d.root_labels(b) for b in d.positive_roots)
-        self._all_root_labels = self._pos_root_labels + tuple(
-            tuple(-x for x in lab) for lab in self._pos_root_labels
+        self._all_root_labels = d.positive_root_labels + tuple(
+            tuple(-x for x in lab) for lab in d.positive_root_labels
         )
         self._kappa = level + d.dual_coxeter
-        self._top_norm_s = self._norm_s(tuple(x + 1 for x in self.highest))
+        top = tuple(x + 1 for x in self.highest)
+        self._top_norm = d.scaled_ip(top, top)  # D (highest + rho, highest + rho)
         self._mult = {(self.highest, 0): 1}
         self._candidate_rows: list = []
         self._done = -1
 
-    # -- scaled integer form -------------------------------------------------
-
-    def _ip_s(self, x, y):
-        f = self._form_s
-        n = len(x)
-        return sum(x[i] * sum(f[i][j] * y[j] for j in range(n)) for i in range(n))
-
-    def _norm_s(self, x):
-        return self._ip_s(x, x)
-
     # -- candidate enumeration -------------------------------------------------
 
-    def _ball(self, bound_s):
-        """Dominant label vectors nu with scale*(nu+rho, nu+rho) <= bound_s."""
-        n = self.datum.rank
+    def _ball(self, bound):
+        """Dominant label vectors nu with D (nu+rho, nu+rho) <= bound."""
+        d = self.datum
+        n = d.rank
         lab = [0] * n
         out = []
 
@@ -87,7 +68,8 @@ class GradedModule:
             v = 0
             while True:
                 lab[i] = v
-                if self._norm_s(tuple(x + 1 for x in lab)) > bound_s:
+                shifted = tuple(x + 1 for x in lab)
+                if d.scaled_ip(shifted, shifted) > bound:
                     break
                 rec(i + 1)
                 v += 1
@@ -99,13 +81,12 @@ class GradedModule:
     def _candidates(self, k):
         """Dominant weights that can occur at depth k, by increasing height gap."""
         d = self.datum
-        top = tuple(h + k * t for h, t in zip(self.highest, self._theta))
-        bound = self._top_norm_s + 2 * k * self._kappa * self._scale
+        top = tuple(h + k * t for h, t in zip(self.highest, d.theta_labels))
         rows = []
-        for nu in self._ball(bound):
+        for nu in self._ball(self._top_norm + 2 * k * self._kappa * d.denominator):
             coords = d.root_coords(tuple(a - b for a, b in zip(top, nu)))
-            if all(c >= 0 and c.denominator == 1 for c in coords):
-                rows.append((sum(int(c) for c in coords), nu))
+            if coords is not None and min(coords) >= 0:
+                rows.append((sum(coords), nu))
         rows.sort()
         return tuple(nu for _, nu in rows)
 
@@ -115,45 +96,44 @@ class GradedModule:
         """Multiplicity of a weight at the given depth; 0 when absent.
 
         Weights beyond the level boundary are folded back by the affine
-        reflection through theta, which lands at a strictly smaller depth.
+        reflection through theta, which lands at a strictly smaller depth;
+        the fold stops as soon as the depth would go negative.
         """
         if depth < 0:
             return 0
-        d = self.datum
-        lab = d.dominant(tuple(labels))
-        while True:
-            gap = self.level - d.level_of(lab)
-            if gap >= 0:
-                return self._mult.get((lab, depth), 0)
-            lab = d.dominant(tuple(x + gap * t for x, t in zip(lab, self._theta)))
-            depth += gap
-            if depth < 0:
-                return 0
+        folded = self.datum.fold(tuple(labels), self.level, depth)
+        if folded is None:
+            return 0
+        lab, _, shift = folded
+        return self._mult.get((lab, depth - shift), 0)
 
     def _freudenthal(self, nu, k):
         d = self.datum
-        scale = self._scale
-        num = self._top_norm_s - self._norm_s(tuple(x + 1 for x in nu)) + 2 * k * self._kappa * scale
-        assert num > 0, (nu, k)
-        bound = self._top_norm_s + 2 * k * self._kappa * scale
+        nu_rho = tuple(x + 1 for x in nu)
+        norm_nu = d.scaled_ip(nu_rho, nu_rho)
+        bound = self._top_norm + 2 * k * self._kappa * d.denominator
+        num = bound - norm_nu
+        if num <= 0:
+            raise InvariantError(f"affine Freudenthal at {nu}, depth {k}: norm gap {num}")
         total = 0
 
         # real roots at displacement zero: positive roots, arbitrary step j
-        for beta in self._pos_root_labels:
-            q_prev = self._norm_s(tuple(x + 1 for x in nu))
+        for beta in d.positive_root_labels:
+            q_prev = norm_nu
             j = 1
             while True:
                 w = tuple(x + j * b for x, b in zip(nu, beta))
                 m = self.multiplicity(w, k)
                 if m:
-                    total += m * self._ip_s(w, beta)
-                q = self._norm_s(tuple(x + 1 for x in w))
+                    total += m * d.scaled_ip(w, beta)
+                w_rho = tuple(x + 1 for x in w)
+                q = d.scaled_ip(w_rho, w_rho)
                 if q > bound and q >= q_prev:
                     break  # the norm is convex in j, so no weight lies further out
                 q_prev = q
                 j += 1
 
-        ell_s = self.level * scale
+        ell_s = self.level * d.denominator
         for m_im in range(1, k + 1):
             # real roots m_im steps down: every finite root contributes
             for beta in self._all_root_labels:
@@ -161,17 +141,16 @@ class GradedModule:
                     w = tuple(x + j * b for x, b in zip(nu, beta))
                     m = self.multiplicity(w, k - j * m_im)
                     if m:
-                        total += m * (self._ip_s(w, beta) + ell_s * m_im)
+                        total += m * (d.scaled_ip(w, beta) + ell_s * m_im)
             # imaginary roots carry multiplicity = rank and only shift the depth
             for j in range(1, k // m_im + 1):
                 m = self.multiplicity(nu, k - j * m_im)
                 if m:
                     total += d.rank * m * ell_s * m_im
 
-        val = 2 * total
-        assert val % num == 0, (nu, k, val, num)
-        mult = val // num
-        assert mult >= 0, (nu, k, mult)
+        mult, rem = divmod(2 * total, num)
+        if rem or mult < 0:
+            raise InvariantError(f"affine Freudenthal at {nu}, depth {k}: {2 * total}/{num}")
         return mult
 
     def _extend(self, depth):
@@ -200,16 +179,9 @@ class GradedModule:
         return tuple(out)
 
 
-_MODULES: dict = {}
-
-
+@lru_cache(maxsize=None)
 def graded_module(algebra: LieAlgebraId, level: int, highest: Weight) -> GradedModule:
-    key = (algebra, level, tuple(highest.labels))
-    mod = _MODULES.get(key)
-    if mod is None:
-        mod = GradedModule(algebra, level, highest)
-        _MODULES[key] = mod
-    return mod
+    return GradedModule(algebra, level, highest)
 
 
 def graded_dims(algebra: LieAlgebraId, level: int, highest: Weight, depth: int) -> tuple:

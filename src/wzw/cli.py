@@ -2,7 +2,8 @@
 
 One subcommand per module; `--json` switches every subcommand to a single
 deterministic JSON document on stdout.  Exit status: 0 for success and for
-verification passes, 1 for a verification failure, 2 for a usage error.
+verification passes, 1 for a verification failure (including a broken
+internal invariant), 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .correlator import (
 )
 from .embeddings import embedding_catalogue, embedding_report
 from .fusion import CurveData, fusion_ring, verlinde_dim
-from .lie import LieAlgebraId, build_root_datum
+from .lie import InvariantError, LieAlgebraId, build_root_datum
 from .picard import emit_relation, relation_json_obj
 from .smatrix import default_precision, s_matrix
 
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import LieAlgebraId, RootDatum, Weight, build_root_datum, level_weights, tensor_decompose
+from .lie import (
+    InvariantError,
+    LieAlgebraId,
+    RootDatum,
+    Weight,
+    build_root_datum,
+    level_weights,
+    tensor_decompose,
+)
 from .qsqrt5 import GOLDEN, QSqrt5
 
 
@@ -23,7 +31,7 @@ class FusionRing:
     algebra: LieAlgebraId
     level: int
     basis: tuple  # Weight tuple, lexicographic label order; basis[0] is the vacuum
-    _products: dict = field(default_factory=dict, compare=False, repr=False)
+    basis_index: dict = field(compare=False, repr=False)  # Weight -> position in basis
     _block_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -32,17 +40,9 @@ class FusionRing:
 
     def index(self, w: Weight) -> int:
         try:
-            return self._basis_index[w]
+            return self.basis_index[w]
         except KeyError:
             raise ValueError(f"{w} is not a level-{self.level} weight of {self.algebra}") from None
-
-    @property
-    def _basis_index(self) -> dict:
-        idx = getattr(self, "_idx_cache", None)
-        if idx is None:
-            idx = {w: i for i, w in enumerate(self.basis)}
-            object.__setattr__(self, "_idx_cache", idx)
-        return idx
 
     def dual(self, w: Weight) -> Weight:
         """Charge conjugate -w0(w)."""
@@ -52,13 +52,8 @@ class FusionRing:
 
     def product(self, x: Weight, y: Weight) -> dict:
         """Fusion product as a dict Weight -> N^nu_{xy}."""
-        key = tuple(sorted((x.labels, y.labels)))
-        cached = self._products.get(key)
-        if cached is None:
-            self.index(x), self.index(y)
-            cached = _kac_walton(self.datum, self.level, x, y)
-            self._products[key] = cached
-        return cached
+        self.index(x), self.index(y)
+        return _kac_walton(self.algebra, self.level, *sorted((x.labels, y.labels)))
 
     def coefficient(self, x: Weight, y: Weight, z: Weight) -> int:
         """N_{xy}^z."""
@@ -66,61 +61,33 @@ class FusionRing:
         return self.product(x, y).get(z, 0)
 
 
-def _kac_walton(d: RootDatum, level: int, x: Weight, y: Weight) -> dict:
+@lru_cache(maxsize=None)
+def _kac_walton(algebra: LieAlgebraId, level: int, x: tuple, y: tuple) -> dict:
+    """Kac-Walton product of two level-ell weights, given as sorted label tuples."""
+    d = build_root_datum(algebra)
     kappa = level + d.dual_coxeter
-    theta_labels = d.root_labels(d.highest_root)
     out: dict = {}
-    for w, m in tensor_decompose(d, x, y).items():
-        shifted = tuple(c + 1 for c in w.labels)
-        folded = _alcove_fold(d, shifted, kappa, theta_labels)
-        if folded is None:
-            continue
-        lab, sign = folded
+    for w, m in tensor_decompose(d, d.weight(x), d.weight(y)).items():
+        lab, sign, _ = d.fold(tuple(c + 1 for c in w.labels), kappa)
+        if 0 in lab or d.level_of(lab) == kappa:
+            continue  # on an alcove wall
         target = tuple(c - 1 for c in lab)
         out[target] = out.get(target, 0) + sign * m
     result = {}
     for labels, m in sorted(out.items()):
-        assert m >= 0, "Kac-Walton folding produced a negative coefficient"
+        if m < 0:
+            raise InvariantError(f"Kac-Walton folding produced a negative coefficient at {labels}")
         if m:
             result[d.weight(labels)] = m
     return result
-
-
-def _alcove_fold(d: RootDatum, labels, kappa, theta_labels):
-    """Reflect a rho-shifted weight into the open alcove at height kappa.
-
-    Returns (labels, sign) or None when a wall is hit.
-    """
-    sign = 1
-    guard = 0
-    while True:
-        guard += 1
-        assert guard < 10_000, "alcove folding failed to terminate"
-        neg = next((i for i, c in enumerate(labels) if c < 0), None)
-        if neg is not None:
-            labels = d.reflect(labels, neg)
-            sign = -sign
-            continue
-        if any(c == 0 for c in labels):
-            return None
-        lvl = d.level_of(labels)
-        if lvl == kappa:
-            return None
-        if lvl > kappa:
-            # reflection through the affine wall (x, theta) = kappa
-            labels = tuple(c - (lvl - kappa) * t for c, t in zip(labels, theta_labels))
-            sign = -sign
-            continue
-        return labels, sign
 
 
 @lru_cache(maxsize=None)
 def fusion_ring(algebra: LieAlgebraId, level: int) -> FusionRing:
     if level < 0:
         raise ValueError("level must be nonnegative")
-    d = build_root_datum(algebra)
-    basis = tuple(level_weights(d, level))
-    return FusionRing(algebra, level, basis)
+    basis = tuple(level_weights(build_root_datum(algebra), level))
+    return FusionRing(algebra, level, basis, {w: i for i, w in enumerate(basis)})
 
 
 @dataclass(frozen=True)
@@ -188,15 +155,15 @@ def closed_form_dimension(genus: int, points: int) -> QSqrt5:
     """((5+sqrt5)/2)^(g-1) phi^n + ((5-sqrt5)/2)^(g-1) phibar^n, exactly.
 
     The two summands are conjugate, so the sqrt(5) part must cancel; that
-    cancellation is asserted rather than assumed.
+    cancellation is checked rather than assumed.
     """
     if genus < 0 or points < 0:
         raise ValueError("genus and point count must be nonnegative")
     base = QSqrt5(Fraction(5, 2), Fraction(1, 2))  # (5 + sqrt 5)/2
     value = base ** (genus - 1) * GOLDEN**points
     total = value + value.conjugate()
-    assert total.b == 0, "conjugate pair failed to cancel"
-    assert total.a.denominator == 1 and total.a >= 0
+    if total.b != 0 or total.a.denominator != 1 or total.a < 0:
+        raise InvariantError(f"conjugate pair failed to cancel to a count: {total}")
     return total
 
 

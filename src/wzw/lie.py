@@ -14,21 +14,31 @@ Conventions, fixed once and used everywhere downstream:
 * Weights are tuples of Dynkin labels in the ordering above; roots are tuples of
   integer coordinates in the simple-root basis.
 
-Everything here is exact rational arithmetic (ints and Fraction); no floats.
+All arithmetic is exact and, past construction, integral.  The form is kept as
+an integer Gram matrix gram[i][j] = D (omega_i, omega_j) with one common
+denominator D (1 for E8, 2 for F4, 3 for G2), so every pairing is an integer
+and (x, y) = scaled_ip(x, y) / D.  Fractions appear only while the datum is
+built and in public return values such as ip; there are no floats.  A failed
+internal check raises InvariantError, which stays active under python -O.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-Labels = tuple  # Dynkin labels, ints (or Fractions for internal shifted weights)
+Labels = tuple  # Dynkin labels, ints
 RootCoords = tuple  # integer coordinates in the simple-root basis
 
 _SERIES = ("A", "B", "C", "D", "E", "F", "G")
+_FOLD_GUARD = 10_000  # reflections allowed in one chamber fold
+
+
+class InvariantError(ArithmeticError):
+    """A mathematical invariant of an exact computation failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -163,19 +173,26 @@ def _weyl_order(series: str, rank: int) -> int:
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Root data of a simple Lie algebra, all entries exact."""
+    """Root data of a simple Lie algebra; every field is computed by build_root_datum."""
 
     algebra: LieAlgebraId
     cartan: tuple  # rows a[i][j] = <alpha_j, alpha_i^vee>
     cartan_inv: tuple  # Fraction matrix
-    symmetrizer: tuple  # d_i = (alpha_i, alpha_i)/2
+    symmetrizer: tuple  # d_i = (alpha_i, alpha_i)/2, Fractions
     positive_roots: tuple  # simple-root coordinates, height-then-lex order
     highest_root: RootCoords
     comarks: tuple  # dual marks a_i^vee = d_i * marks_i, ints
     dual_coxeter: int
     form: tuple  # (omega_i, omega_j) as Fractions
     weyl_order: int
-    _orbit_sizes: dict = field(default_factory=dict, compare=False, repr=False)
+    denominator: int  # D, the least common denominator of the form
+    gram: tuple  # D (omega_i, omega_j), ints
+    scaled_symmetrizer: tuple  # D d_i = D (alpha_i, omega_i), ints
+    cartan_cols: tuple  # column i of the Cartan matrix = Dynkin labels of alpha_i
+    positive_root_labels: tuple  # Dynkin labels of each positive root
+    theta_labels: Labels  # Dynkin labels of the highest root
+    rho_pairings: tuple  # D (rho, beta) for each positive root, ints
+    rho_product: int  # product of rho_pairings, the Weyl-dimension denominator
 
     # -- basic derived data ------------------------------------------------
 
@@ -213,23 +230,32 @@ class RootDatum:
         """Dynkin labels of a vector given in simple-root coordinates."""
         return tuple(sum(self.cartan[i][j] * beta[j] for j in range(self.rank)) for i in range(self.rank))
 
-    def root_coords(self, labels: Labels) -> tuple:
-        return tuple(
-            sum(self.cartan_inv[i][j] * labels[j] for j in range(self.rank)) for i in range(self.rank)
-        )
+    def root_coords(self, labels: Labels):
+        """Simple-root coordinates of a weight, or None off the root lattice.
+
+        Coordinate i is (x, omega_i) / d_i, so it comes from the Gram matrix.
+        """
+        out = []
+        for row, s in zip(self.gram, self.scaled_symmetrizer):
+            c, r = divmod(sum(g * x for g, x in zip(row, labels)), s)
+            if r:
+                return None
+            out.append(c)
+        return tuple(out)
 
     # -- invariant form ----------------------------------------------------
 
+    def scaled_ip(self, x: Labels, y: Labels) -> int:
+        """D (x, y) for two weights in Dynkin labels."""
+        return sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(x, self.gram))
+
+    def scaled_ip_root(self, x: Labels, beta: RootCoords) -> int:
+        """D (x, beta) with x in labels and beta in simple-root coordinates."""
+        return sum(b * s * a for b, s, a in zip(beta, self.scaled_symmetrizer, x))
+
     def ip(self, x: Labels, y: Labels) -> Fraction:
         """(x, y) for two weights in Dynkin labels."""
-        form = self.form
-        n = self.rank
-        return sum(x[i] * sum(form[i][j] * y[j] for j in range(n)) for i in range(n))
-
-    def ip_weight_root(self, x: Labels, beta: RootCoords) -> Fraction:
-        """(x, beta) with x in labels and beta in simple-root coordinates."""
-        d = self.symmetrizer
-        return sum(beta[i] * d[i] * x[i] for i in range(self.rank))
+        return Fraction(self.scaled_ip(x, y), self.denominator)
 
     def level_of(self, labels: Labels):
         """(lambda, theta); equals the affine level occupied by the weight."""
@@ -241,64 +267,76 @@ class RootDatum:
         c = labels[i]
         if c == 0:
             return labels
-        col = self._cartan_cols[i]
-        return tuple(x - c * col[j] for j, x in enumerate(labels))
+        return tuple(x - c * y for x, y in zip(labels, self.cartan_cols[i]))
 
-    @property
-    def _cartan_cols(self):
-        # column i of the Cartan matrix = Dynkin labels of alpha_i
-        cols = getattr(self, "_cols_cache", None)
-        if cols is None:
-            cols = tuple(tuple(self.cartan[j][i] for j in range(self.rank)) for i in range(self.rank))
-            object.__setattr__(self, "_cols_cache", cols)
-        return cols
+    def fold(self, labels: Labels, kappa=None, limit=None):
+        """Reflect a weight into the dominant chamber.
 
-    def dominant(self, labels: Labels) -> Labels:
-        lab = labels
-        while True:
-            for i, x in enumerate(lab):
-                if x < 0:
-                    lab = self.reflect(lab, i)
-                    break
-            else:
-                return lab
-
-    def dominant_with_sign(self, labels: Labels):
-        """Dominant representative and det(w); None if the weight sits on a wall."""
-        lab = labels
-        sign = 1
-        while True:
-            for i, x in enumerate(lab):
-                if x < 0:
-                    lab = self.reflect(lab, i)
+        With kappa, also reflect through the affine wall (x, theta) = kappa
+        until the level is at most kappa.  Returns (representative, det(w),
+        shift), where shift is the sum of (x, theta) - kappa over the affine
+        reflections; returns None as soon as shift exceeds limit.  Wall tests
+        (a zero label, level equal to kappa) are left to the caller.
+        """
+        cols = self.cartan_cols
+        lab, sign, shift = labels, 1, 0
+        for _ in range(_FOLD_GUARD):
+            for i, c in enumerate(lab):
+                if c < 0:
+                    lab = tuple(x - c * y for x, y in zip(lab, cols[i]))
                     sign = -sign
                     break
             else:
-                if any(x == 0 for x in lab):
+                excess = 0 if kappa is None else self.level_of(lab) - kappa
+                if excess <= 0:
+                    return lab, sign, shift
+                shift += excess
+                if limit is not None and shift > limit:
                     return None
-                return lab, sign
+                lab = tuple(x - excess * t for x, t in zip(lab, self.theta_labels))
+                sign = -sign
+        raise InvariantError(f"chamber fold of {labels} failed to terminate")
 
-    def weyl_orbit(self, labels: Labels) -> set:
-        seen = {labels}
+    def dominant(self, labels: Labels) -> Labels:
+        return self.fold(labels)[0]
+
+    def weyl_orbit(self, labels: Labels) -> dict:
+        """Weyl orbit of a weight, each point mapped to det(w) for a w reaching it.
+
+        The sign is det(w) only for a regular weight (trivial stabiliser); for
+        a weight on a wall it depends on the walk, and only the keys matter.
+        Points are in breadth-first order from the input.
+        """
+        cols = self.cartan_cols
+        seen = {labels: 1}
         frontier = [labels]
         while frontier:
             nxt = []
             for lab in frontier:
-                for i in range(self.rank):
-                    if lab[i] != 0:
-                        img = self.reflect(lab, i)
+                s = -seen[lab]
+                for i, c in enumerate(lab):
+                    if c:
+                        img = tuple(x - c * y for x, y in zip(lab, cols[i]))
                         if img not in seen:
-                            seen.add(img)
+                            seen[img] = s
                             nxt.append(img)
             frontier = nxt
         return seen
 
     def orbit_size(self, dominant_labels: Labels) -> int:
-        size = self._orbit_sizes.get(dominant_labels)
-        if size is None:
-            size = len(self.weyl_orbit(dominant_labels))
-            self._orbit_sizes[dominant_labels] = size
-        return size
+        return _orbit_size(self.algebra, tuple(dominant_labels))
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(algebra: LieAlgebraId, labels: Labels) -> int:
+    return len(build_root_datum(algebra).weyl_orbit(labels))
+
+
+def _integral(values, what: str) -> tuple:
+    values = tuple(values)
+    if any(v.denominator != 1 for v in values):
+        raise InvariantError(f"{what} {values} are not integral")
+    return tuple(int(v) for v in values)
 
 
 @lru_cache(maxsize=None)
@@ -311,23 +349,26 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
     # d_i a_ij must be symmetric, otherwise the tables above are wrong
     for i in range(n):
         for j in range(n):
-            assert d[i] * cartan[i][j] == d[j] * cartan[j][i], (series, n, i, j)
+            if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
+                raise InvariantError(f"{algebra}: symmetrizer fails at ({i}, {j})")
 
-    roots = _positive_root_closure(cartan, n)
+    closure = _positive_root_closure(cartan, n)
+    roots, root_labels = tuple(closure), tuple(closure.values())
     top_height = max(sum(r) for r in roots)
     top = [r for r in roots if sum(r) == top_height]
-    assert len(top) == 1, "highest root must be unique"
+    if len(top) != 1:
+        raise InvariantError(f"{algebra}: highest root is not unique")
     theta = top[0]
-
-    comarks = []
-    for i in range(n):
-        c = d[i] * theta[i]
-        assert c.denominator == 1
-        comarks.append(int(c))
-    hvee = 1 + sum(comarks)
+    comarks = _integral((d[i] * theta[i] for i in range(n)), f"{algebra} comarks")
 
     cartan_inv = _invert(cartan)
     form = tuple(tuple(d[i] * cartan_inv[i][j] for j in range(n)) for i in range(n))
+    # _dominant_below and the norm pruning in characters rely on positivity
+    if any(x <= 0 for row in form for x in row):
+        raise InvariantError(f"{algebra}: form has a nonpositive entry")
+    denom = math.lcm(*(x.denominator for row in form for x in row))
+    scaled_sym = _integral((denom * x for x in d), f"{algebra} scaled symmetrizer")
+    rho_pairings = tuple(sum(b * s for b, s in zip(beta, scaled_sym)) for beta in roots)
 
     datum = RootDatum(
         algebra=algebra,
@@ -336,27 +377,41 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
         symmetrizer=tuple(d),
         positive_roots=roots,
         highest_root=theta,
-        comarks=tuple(comarks),
-        dual_coxeter=hvee,
+        comarks=comarks,
+        dual_coxeter=1 + sum(comarks),
         form=form,
         weyl_order=_weyl_order(series, n),
+        denominator=denom,
+        gram=tuple(tuple(int(x * denom) for x in row) for row in form),
+        scaled_symmetrizer=scaled_sym,
+        cartan_cols=tuple(zip(*cartan)),
+        positive_root_labels=root_labels,
+        theta_labels=closure[theta],
+        rho_pairings=rho_pairings,
+        rho_product=math.prod(rho_pairings),
     )
 
     # normalisation check: (theta, theta) = 2
-    assert datum.ip_weight_root(datum.root_labels(theta), theta) == 2
+    if datum.scaled_ip_root(datum.theta_labels, theta) != 2 * denom:
+        raise InvariantError(f"{algebra}: (theta, theta) != 2")
     return datum
 
 
-def _positive_root_closure(cartan, n) -> tuple:
-    """All positive roots, built upward from the simple roots by root strings."""
+def _positive_root_closure(cartan, n) -> dict:
+    """Positive root -> Dynkin labels, in height-then-lex order.
+
+    Built upward from the simple roots by root strings.
+    """
     simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     known = set(simple)
     by_height = {1: list(simple)}
+    labels_of = {}
     h = 1
     while by_height.get(h):
         nxt = []
         for beta in by_height[h]:
             labels = [sum(cartan[i][j] * beta[j] for j in range(n)) for i in range(n)]
+            labels_of[beta] = tuple(labels)
             for i in range(n):
                 # p = how far the alpha_i string extends below beta
                 p = 0
@@ -376,8 +431,7 @@ def _positive_root_closure(cartan, n) -> tuple:
         h += 1
         if nxt:
             by_height[h] = nxt
-    ordered = sorted(known, key=lambda r: (sum(r), r))
-    return tuple(ordered)
+    return {r: labels_of[r] for r in sorted(known, key=lambda r: (sum(r), r))}
 
 
 # ----------------------------------------------------------------------------
@@ -390,92 +444,70 @@ def _check_same_algebra(d: RootDatum, *weights: Weight):
             raise ValueError(f"weight {w} belongs to {w.algebra}, expected {d.algebra}")
 
 
-def inner_product(d: RootDatum, x: Weight, y: Weight) -> Fraction:
-    _check_same_algebra(d, x, y)
-    return Fraction(d.ip(x.labels, y.labels))
-
-
-def dual_coxeter(d: RootDatum) -> int:
-    return d.dual_coxeter
-
-
 def weyl_dimension(d: RootDatum, lam: Weight) -> int:
     _check_same_algebra(d, lam)
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    num = Fraction(1)
     shifted = tuple(x + 1 for x in lam.labels)
-    rho = d.rho
-    for beta in d.positive_roots:
-        num *= Fraction(d.ip_weight_root(shifted, beta), d.ip_weight_root(rho, beta))
-    assert num.denominator == 1
-    return int(num)
+    num = math.prod(d.scaled_ip_root(shifted, beta) for beta in d.positive_roots)
+    dim, rem = divmod(num, d.rho_product)
+    if rem:
+        raise InvariantError(f"Weyl dimension of {lam} is not an integer")
+    return dim
 
 
 def _dominant_below(d: RootDatum, lam: Labels) -> list:
-    """All dominant mu with lam - mu a nonnegative integer root combination.
+    """All (mu, c): mu dominant with lam - mu = sum c_i alpha_i, every c_i >= 0.
 
     The inverse Cartan matrix has nonnegative entries, so the coefficients are
     confined to the box c <= A^{-1} lam.
     """
     n = d.rank
-    bounds = []
-    for row in d.cartan_inv:
-        b = sum(row[j] * lam[j] for j in range(n))
-        bounds.append(int(b))
+    bounds = [sum(g * x for g, x in zip(row, lam)) // s for row, s in zip(d.gram, d.scaled_symmetrizer)]
     total = 1
     for b in bounds:
         total *= b + 1
     if total > 2_000_000:
         raise ValueError("weight system too large for exact enumeration")
-    cols = d._cartan_cols
+    cols = d.cartan_cols
     out = []
 
-    def rec(i, current):
+    def rec(i, current, coeffs):
         if i == n:
             if all(x >= 0 for x in current):
-                out.append(tuple(current))
+                out.append((tuple(current), coeffs))
             return
         for c in range(bounds[i] + 1):
-            rec(i + 1, [current[j] - c * cols[i][j] for j in range(n)])
+            rec(i + 1, [current[j] - c * cols[i][j] for j in range(n)], coeffs + (c,))
 
-    rec(0, list(lam))
+    rec(0, list(lam), ())
     return out
 
 
 def _dominant_multiplicities(d: RootDatum, lam: Labels) -> dict:
     """Freudenthal recursion, dominant weights only."""
-    rho = d.rho
     lam_rho = tuple(x + 1 for x in lam)
-    norm_top = d.ip(lam_rho, lam_rho)
-    cands = _dominant_below(d, lam)
-    height = {}
-    for mu in cands:
-        rc = d.root_coords(tuple(l - m for l, m in zip(lam, mu)))
-        assert all(x.denominator == 1 and x >= 0 for x in rc)
-        height[mu] = int(sum(rc))
-    order = sorted(cands, key=lambda mu: (height[mu], mu))
+    norm_top = d.scaled_ip(lam_rho, lam_rho)
+    roots = tuple(zip(d.positive_roots, d.positive_root_labels))
     mult: dict = {}
-    for mu in order:
-        if height[mu] == 0:
+    for mu, rc in sorted(_dominant_below(d, lam), key=lambda mc: (sum(mc[1]), mc[0])):
+        if not any(rc):
             mult[mu] = 1
             continue
-        rhs = Fraction(0)
-        rc = d.root_coords(tuple(l - m for l, m in zip(lam, mu)))
-        for beta in d.positive_roots:
-            beta_labels = d.root_labels(beta)
-            jmax = min(int(rc[i] / beta[i]) for i in range(d.rank) if beta[i])
+        rhs = 0
+        for beta, beta_labels in roots:
+            jmax = min(rc[i] // b for i, b in enumerate(beta) if b)
             for j in range(1, jmax + 1):
                 nu = tuple(m + j * b for m, b in zip(mu, beta_labels))
                 m2 = mult.get(d.dominant(nu))
                 if m2:
-                    rhs += m2 * d.ip_weight_root(nu, beta)
+                    rhs += m2 * d.scaled_ip_root(nu, beta)
         mu_rho = tuple(x + 1 for x in mu)
-        denom = norm_top - d.ip(mu_rho, mu_rho)
-        value = 2 * rhs / denom
-        assert value.denominator == 1
+        value, rem = divmod(2 * rhs, norm_top - d.scaled_ip(mu_rho, mu_rho))
+        if rem:
+            raise InvariantError(f"Freudenthal multiplicity of {mu} in {lam} is not an integer")
         if value:
-            mult[mu] = int(value)
+            mult[mu] = value
     return mult
 
 
@@ -506,7 +538,8 @@ def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:
         raise ValueError(f"{lam} is not dominant")
     _, full = _weight_system_cached(d.algebra, tuple(lam.labels))
     ws = WeightSystem(lam, {d.weight(k): v for k, v in full.items()})
-    assert ws.dimension == weyl_dimension(d, lam)
+    if ws.dimension != weyl_dimension(d, lam):
+        raise InvariantError(f"weight system of {lam} misses the Weyl dimension")
     return ws
 
 
@@ -522,22 +555,22 @@ def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
     out: dict = {}
     base = tuple(x + 1 for x in lam.labels)  # lam + rho
     for nu, m in wts.items():
-        shifted = tuple(b + v for b, v in zip(base, nu))
-        folded = d.dominant_with_sign(shifted)
-        if folded is None:
-            continue
-        dom, sign = folded
+        dom, sign, _ = d.fold(tuple(b + v for b, v in zip(base, nu)))
+        if 0 in dom:
+            continue  # on a chamber wall
         target = tuple(x - 1 for x in dom)
         out[target] = out.get(target, 0) + sign * m
     result = {}
     for labels, m in sorted(out.items()):
-        assert m >= 0, "Racah-Speiser produced a negative multiplicity"
+        if m < 0:
+            raise InvariantError(f"Racah-Speiser produced a negative multiplicity at {labels}")
         if m:
             result[d.weight(labels)] = m
     # dimension bookkeeping must close
-    assert sum(m * weyl_dimension(d, w) for w, m in result.items()) == weyl_dimension(
+    if sum(m * weyl_dimension(d, w) for w, m in result.items()) != weyl_dimension(
         d, lam
-    ) * weyl_dimension(d, mu)
+    ) * weyl_dimension(d, mu):
+        raise InvariantError(f"{lam} x {mu}: constituent dimensions do not add up")
     return result
 
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from .lie import LieAlgebraId, RootDatum, build_root_datum, level_weights
+from .lie import InvariantError, LieAlgebraId, build_root_datum, level_weights
 
 FULL_PATH_WEYL_LIMIT = 100_000
 PRECISION_ENV = "WZW_PRECISION"
@@ -73,25 +72,6 @@ class SMatrix:
             return acc
 
 
-def _orbit_with_signs(d: RootDatum, labels) -> list:
-    """Weyl orbit of a strictly dominant weight, each point with det(w)."""
-    assert all(x > 0 for x in labels)
-    seen = {labels: 1}
-    frontier = [labels]
-    while frontier:
-        nxt = []
-        for lab in frontier:
-            s = seen[lab]
-            for i in range(d.rank):
-                img = d.reflect(lab, i)
-                if img not in seen:
-                    seen[img] = -s
-                    nxt.append(img)
-        frontier = nxt
-    assert len(seen) == d.weyl_order
-    return list(seen.items())
-
-
 def s_matrix(algebra: LieAlgebraId, level: int, precision: int | None = None) -> SMatrix:
     """Full Kac-Peterson S-matrix, normalised to be unitary with S[0][0] > 0."""
     d = build_root_datum(algebra)
@@ -103,19 +83,24 @@ def s_matrix(algebra: LieAlgebraId, level: int, precision: int | None = None) ->
     if precision is None:
         precision = default_precision()
     basis = level_weights(d, level)
-    kappa = level + d.dual_coxeter
+    denom = (level + d.dual_coxeter) * d.denominator  # (x, y)/kappa = scaled_ip/denom
     with mp.workdps(precision):
         rows = []
         for lam in basis:
             shifted = tuple(x + 1 for x in lam.labels)
-            orbit = _orbit_with_signs(d, shifted)
+            if min(shifted) <= 0:
+                raise InvariantError(f"{lam} + rho is not strictly dominant")
+            orbit = d.weyl_orbit(shifted)  # regular, so the signs are det(w)
+            if len(orbit) != d.weyl_order:
+                raise InvariantError(f"orbit of {lam} + rho has {len(orbit)} points, not |W|")
             row = []
             for mu in basis:
                 mu_rho = tuple(x + 1 for x in mu.labels)
+                g_mu = [sum(g * y for g, y in zip(row_g, mu_rho)) for row_g in d.gram]
                 acc = mp.mpc(0)
-                for point, sign in orbit:
-                    q = Fraction(d.ip(point, mu_rho), kappa)
-                    acc += sign * mp.expjpi(-2 * mp.mpf(q.numerator) / q.denominator)
+                for point, sign in orbit.items():
+                    q = -2 * sum(p * g for p, g in zip(point, g_mu))
+                    acc += sign * mp.expjpi(mp.mpf(q) / denom)
                 row.append(acc)
             rows.append(row)
         # normalise: rows of the raw sum are the unitary S up to one global scalar
@@ -135,15 +120,14 @@ def s_matrix_column(algebra: LieAlgebraId, level: int, precision: int | None = N
     if precision is None:
         precision = default_precision()
     basis = level_weights(d, level)
-    kappa = level + d.dual_coxeter
+    denom = (level + d.dual_coxeter) * d.denominator
     with mp.workdps(precision):
         raw = []
         for lam in basis:
             shifted = tuple(x + 1 for x in lam.labels)
             prod = mp.mpf(1)
             for beta in d.positive_roots:
-                q = Fraction(d.ip_weight_root(shifted, beta), kappa)
-                prod *= 2 * mp.sinpi(mp.mpf(q.numerator) / q.denominator)
+                prod *= 2 * mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom)
             raw.append(prod)
         scale = mp.sqrt(sum(x**2 for x in raw))
         column = [x / scale for x in raw]
@@ -155,14 +139,12 @@ def quantum_dimension(algebra: LieAlgebraId, level: int, labels, precision: int 
     d = build_root_datum(algebra)
     if precision is None:
         precision = default_precision()
-    kappa = level + d.dual_coxeter
+    denom = (level + d.dual_coxeter) * d.denominator
     shifted = tuple(x + 1 for x in labels)
     with mp.workdps(precision):
         value = mp.mpf(1)
-        for beta in d.positive_roots:
-            qn = Fraction(d.ip_weight_root(shifted, beta), kappa)
-            qd = Fraction(d.ip_weight_root(d.rho, beta), kappa)
-            value *= mp.sinpi(mp.mpf(qn.numerator) / qn.denominator) / mp.sinpi(
-                mp.mpf(qd.numerator) / qd.denominator
+        for beta, rho_beta in zip(d.positive_roots, d.rho_pairings):
+            value *= mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom) / mp.sinpi(
+                mp.mpf(rho_beta) / denom
             )
         return value

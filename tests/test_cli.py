@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, exit codes, JSON determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wzw import cli
 from wzw.acceptance import CriterionResult
+from wzw.lie import InvariantError
 
 
 def run(capsys, *argv):
@@ -169,6 +175,31 @@ def test_pic_relation(capsys):
     assert "not stable" in err
 
 
+# sha256 of the --json stdout, pinned so a refactor cannot change any byte
+PINNED_JSON_DIGESTS = {
+    "root-system --algebra G2": "fb9ccb837196d4c477b4f1874b93822cd58bdd1c51b0c5195c0faf22ced2727c",
+    "root-system --algebra F4": "bfa723a2bc8e86c9d87f90bcc33b8a8dd00bfad8a49c4ea71ad39c6c318f3dff",
+    "root-system --algebra E8": "3a6e21d8a46cfc8c0ebaf0dc289eb42dc17df12a896d2b3503fe55c0f30e62de",
+    "fusion --algebra G2 --level 1": "e517996ef840661a63fcbc299c02eeb0c241918d568aee8f4846bfd57df5c6f4",
+    "fusion --algebra G2 --level 2": "9937edd8004a8c4f5e1983e592f66a9da5f4cf6b96e2a686efe580a23b7c945b",
+    "fusion --algebra G2 --level 3": "dd82579e23cbf0a1d6ac94f329143c260a4598cf817ef8895ca2386dc43c4c66",
+    "fusion --algebra F4 --level 1": "aac914b4e0cda088669c47da22985030ae3a6c0ab48d0c49273e307845abc6a7",
+    "fusion --algebra F4 --level 2": "2f91e1d0c1033311dfe03d4dd4bcf7e73572aab4bb429f210b7284fa97ecad9b",
+    "fusion --algebra F4 --level 3": "a975902849a2bf8e7c9d8c1c3a0a2896a717f86cc52ab45ce90f3c972b8c1a7e",
+    "verlinde --algebra E8 --level 1 --genus 3": "07718467b3a10ae2fa99fdd28c2d396d0342d530ae0fcf4de826ca91d8126f9a",
+    "verlinde --algebra G2 --level 1 --genus 0 --weights [1,0]x3": (
+        "07718467b3a10ae2fa99fdd28c2d396d0342d530ae0fcf4de826ca91d8126f9a"
+    ),
+    "verlinde --algebra F4 --level 1 --genus 3": "bacbb13354d7a35c8bcef14ec4ac6a38818e12e971da39671ba932ee0532528a",
+    "pic-relation --genus 1 --markings 3": "5ccef8ed0495c7729922c5add63e5d8ebe53f4d361af9bf27ef0b014f07568c4",
+    "correlator --case I": "5ba24aa608c822a1231a297d2bc7b9ac9a0529344cb1c6c265c3150791b66582",
+    "correlator --case II": "7b045b7097ce518e46b77588522bc9cbf928cad31badf8dd90784c701d8e7c78",
+    "correlator --case III": "51c55e9e202280bfccc710e3f840961542889938d26a64445a034c449766cb4a",
+    "embedding list": "e379b9b9c59ef30e5c7c0aad3c7dae778d11abaf6b6e0bd4827271db8bed2d3e",
+    "branch-verify": "ced71038afd12ab316a52f4d2053972f05fd68a6b6f4aaf1dcc87fd4964250de",
+}
+
+
 def test_json_outputs_byte_stable(capsys):
     fixed_commands = [
         ("root-system", "--algebra", "F4", "--json"),
@@ -183,6 +214,40 @@ def test_json_outputs_byte_stable(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second, argv
+    for command, digest in PINNED_JSON_DIGESTS.items():
+        code, out, _ = run(capsys, *command.split(), "--json")
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fusion", "--algebra", "F4", "--level", "2", "--json"],
+        ["verlinde", "--algebra", "F4", "--level", "1", "--genus", "3", "--json"],
+    ],
+)
+def test_optimized_interpreter_gives_identical_stdout(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "wzw.cli", *argv],
+            capture_output=True, check=True, env=env,
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_broken_invariant_exits_one_with_one_line(capsys, monkeypatch):
+    def broken(ring, curve):
+        raise InvariantError("planted failure")
+
+    monkeypatch.setattr(cli, "verlinde_dim", broken)
+    code, out, err = run(capsys, "verlinde", "--algebra", "G2", "--level", "1", "--genus", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "planted failure" in err
 
 
 def test_verify_all_reports_each_criterion(capsys, monkeypatch):

@@ -1,0 +1,72 @@
+"""Source-level guards: checks survive python -O, and cross-checks stay independent."""
+
+import ast
+from pathlib import Path
+
+import wzw
+
+SRC = Path(wzw.__file__).resolve().parent
+
+
+def _tree(module):
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _names_used(tree, roots):
+    """Names referenced by the given top-level functions and, transitively,
+    by the module-level functions they call."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    seen, todo, names = set(), list(roots), set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in defs:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_assert_statements_in_package():
+    # assert vanishes under python -O; invariants raise InvariantError instead
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def test_smatrix_imports_only_the_lie_kernel():
+    for node in ast.walk(_tree("smatrix")):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            assert node.module == "lie", node.module
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("wzw"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("wzw") for a in node.names)
+
+
+def test_lattice_oracle_touches_no_lie_name():
+    lie_names = {
+        n.name for n in _tree("lie").body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    lie_names |= {
+        a.asname or a.name
+        for node in ast.walk(_tree("characters"))
+        if isinstance(node, ast.ImportFrom) and node.module == "lie"
+        for a in node.names
+    }
+    used = _names_used(_tree("characters"), ["lattice_shell_counts", "lattice_character_dims"])
+    assert used & lie_names == set()
+
+
+def test_closed_form_never_calls_the_block_recursion():
+    used = _names_used(_tree("fusion"), ["closed_form_dimension", "closed_form_value"])
+    assert "_blocks" not in used and "verlinde_dim" not in used
