@@ -1,11 +1,11 @@
 """Exact level-one WZW computations for G2, F4 and E8.
 
 Root systems and weight multiplicities are exact integer/rational arithmetic;
-fusion rings use the Kac-Walton rule; conformal-block dimensions come from
-factorization and close in Q(sqrt 5); the numeric Kac-Peterson S-matrix is an
-independent cross-check.  Conformal-embedding checks, graded branching of
-level-one characters, three-point gauge-correlator reduction and the
-boundary-divisor relation round out the toolkit.  `python -m wzw.cli --help`
+fusion rings use the Kac-Walton rule; conformal-block dimensions are a vacuum
+entry of fusion-matrix powers and close in Q(sqrt 5) at level one; the numeric
+Kac-Peterson S-matrix is an independent cross-check.  Conformal-embedding checks,
+graded branching of level-one characters, three-point gauge-correlator reduction
+and the boundary-divisor relation round out the toolkit.  `python -m wzw.cli --help`
 for the command-line surface.
 """
 

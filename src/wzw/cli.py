@@ -3,7 +3,7 @@
 One subcommand per module; `--json` switches every subcommand to a single
 deterministic JSON document on stdout.  Exit status: 0 for success and for
 verification passes, 1 for a verification failure (including a broken
-internal invariant), 2 for a usage error.
+internal invariant), 2 for a usage error, a cap or a gauge-move budget.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .acceptance import run_all
 from .characters import g2_f4_branching_claim, verify_branching
 from .correlator import (
     PairingEnv,
+    ReductionBudgetExceeded,
     case_cartan_insertion,
     case_opposite_pair,
     case_vacua,
@@ -26,7 +27,7 @@ from .correlator import (
     reduce_state,
 )
 from .embeddings import embedding_catalogue, embedding_report
-from .fusion import CurveData, fusion_ring, verlinde_dim
+from .fusion import MAX_INSERTIONS, CurveData, fusion_ring, verlinde_dim
 from .lie import InvariantError, LieAlgebraId, build_root_datum
 from .picard import emit_relation, relation_json_obj
 from .smatrix import default_precision, s_matrix
@@ -35,7 +36,10 @@ _WEIGHT_RE = re.compile(r"^\[(-?\d+(?:,-?\d+)*)\](?:x(\d+))?$")
 
 
 def _parse_weights(tokens, datum):
-    """Dynkin-label lists with an optional multiplicity suffix: [1,0]x3."""
+    """Dynkin-label lists with an optional multiplicity suffix: [1,0]x3.
+
+    The insertion count is checked against the cap before a token expands.
+    """
     out = []
     for tok in tokens:
         m = _WEIGHT_RE.match(tok.replace(" ", ""))
@@ -43,6 +47,8 @@ def _parse_weights(tokens, datum):
             raise ValueError(f"cannot parse weight token {tok!r}; expected [a,b,...] or [a,b,...]xN")
         labels = tuple(int(x) for x in m.group(1).split(","))
         count = int(m.group(2)) if m.group(2) else 1
+        if len(out) + count > MAX_INSERTIONS:
+            raise ValueError(f"more than {MAX_INSERTIONS} insertions (the cap)")
         out.extend([datum.weight(labels)] * count)
     return tuple(out)
 
@@ -366,7 +372,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ReductionBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

@@ -3,16 +3,20 @@
 Fusion coefficients come from the Kac-Walton rule: decompose the classical
 tensor product, then fold each constituent into the open level-ell alcove with
 the shifted affine Weyl action, keeping track of signs and discarding anything
-on an alcove wall.  Conformal-block dimensions come from the factorization
-recursion with (0, n<=3) base cases; no S-matrix input is used here, so the
-numeric S-matrix route stays an independent cross-check.
+on an alcove wall.  Conformal-block dimensions are the vacuum entry of
+e_0 H^g prod N_x, where N_x are the integer fusion matrices and
+H = sum_mu N_mu N_mu* adds a handle (Beauville, "Conformal blocks, fusion
+rules and the Verlinde formula", 1996).  No S-matrix input is used here, so
+the numeric S-matrix route stays an independent cross-check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .lie import (
     InvariantError,
@@ -32,7 +36,6 @@ class FusionRing:
     level: int
     basis: tuple  # Weight tuple, lexicographic label order; basis[0] is the vacuum
     basis_index: dict = field(compare=False, repr=False)  # Weight -> position in basis
-    _block_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def datum(self) -> RootDatum:
@@ -100,48 +103,54 @@ class CurveData:
             raise ValueError("genus must be nonnegative")
 
 
-def verlinde_dim(ring: FusionRing, curve: CurveData) -> int:
-    """Dimension of the conformal-block space by the factorization recursion.
+# Caps on the genus and insertion count of `verlinde_dim`; both enter only
+# through binary exponentiation, so the caps bound the size of the answer.
+MAX_GENUS = MAX_INSERTIONS = 10_000
 
-    Genus is reduced by summing a dual pair over the basis; at genus zero the
-    insertion list is contracted two at a time through the fusion product down
-    to the three-point base case.
+
+@lru_cache(maxsize=None)
+def _fusion_matrices(algebra: LieAlgebraId, level: int) -> tuple:
+    """(N, H) over basis indices: N[x][a][b] = N_{xa}^b and H = sum_mu N_mu N_mu*.
+
+    N_mu* is the transpose of N_mu, so H[a][b] = sum_mu sum_c N_mu[a][c] N_mu[b][c].
     """
-    for w in curve.insertions:
-        ring.index(w)
-    return _blocks(ring, curve.genus, tuple(sorted(w.labels for w in curve.insertions)))
+    ring = fusion_ring(algebra, level)
+    basis, idx = ring.basis, range(len(ring.basis))
+    n = tuple(tuple(tuple(ring.product(x, y).get(z, 0) for z in basis) for y in basis) for x in basis)
+    h = tuple(tuple(sum(sum(map(mul, m[a], m[b])) for m in n) for b in idx) for a in idx)
+    return n, h
 
 
-def _blocks(ring: FusionRing, genus: int, labels: tuple) -> int:
-    key = (genus, labels)
-    cached = ring._block_cache.get(key)
-    if cached is not None:
-        return cached
-    d = ring.datum
-    if genus > 0:
-        total = 0
-        for mu in ring.basis:
-            mu_dual = ring.dual(mu)
-            total += _blocks(
-                ring, genus - 1, tuple(sorted(labels + (mu.labels, mu_dual.labels)))
-            )
-    elif len(labels) == 0:
-        total = 1
-    elif len(labels) == 1:
-        total = int(labels[0] == ring.basis[0].labels)
-    elif len(labels) == 2:
-        total = int(ring.dual(d.weight(labels[0])).labels == labels[1])
-    elif len(labels) == 3:
-        x, y, z = (d.weight(l) for l in labels)
-        total = ring.coefficient(x, y, ring.dual(z))
-    else:
-        x, y = d.weight(labels[0]), d.weight(labels[1])
-        rest = labels[2:]
-        total = 0
-        for nu, n in ring.product(x, y).items():
-            total += n * _blocks(ring, 0, tuple(sorted(rest + (nu.labels,))))
-    ring._block_cache[key] = total
-    return total
+def _apply_power(v: tuple, m: tuple, e: int) -> tuple:
+    """Row vector v times m**e, squaring m only while bits of e remain."""
+    while e:
+        if e & 1:
+            v = tuple(sum(map(mul, v, col)) for col in zip(*m))
+        e >>= 1
+        if e:
+            m = tuple(tuple(sum(map(mul, row, col)) for col in zip(*m)) for row in m)
+    return v
+
+
+def verlinde_dim(ring: FusionRing, curve: CurveData) -> int:
+    """Dimension of the conformal-block space: entry 0 of e_0 H^g prod N_x^{m_x}.
+
+    m_x counts the insertions of basis weight x; vacuum insertions drop out,
+    since N_0 is the identity.  Fusion matrices commute, so each power is
+    applied to the row vector in turn.
+    """
+    if curve.genus > MAX_GENUS or len(curve.insertions) > MAX_INSERTIONS:
+        raise ValueError(f"genus or insertion count above the cap of {MAX_GENUS}")
+    counts = Counter(ring.index(w) for w in curve.insertions)
+    counts.pop(0, None)
+    matrices, handle = _fusion_matrices(ring.algebra, ring.level)
+    v = (1,) + (0,) * (len(ring.basis) - 1)
+    for x, m in sorted(counts.items()):
+        v = _apply_power(v, matrices[x], m)
+    dim = _apply_power(v, handle, curve.genus)[0]
+    if dim < 0:
+        raise InvariantError(f"negative block dimension {dim} at genus {curve.genus}")
+    return dim
 
 
 def propagation_check(ring: FusionRing, curve: CurveData) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .fusion import closed_form_dimension, closed_form_value
 
@@ -96,12 +97,20 @@ class PicRelation:
         return dict(self.boundary)
 
 
+MAX_RELATION_SIZE = 1 << 16  # cap on (g + 1) 2^n, about twice the number of strata
+
+
+@lru_cache(maxsize=None)
 def _F(g: int, n: int) -> int:
+    """The closed form, once per (g, n): coefficients depend only on (h, |A|)."""
     return closed_form_value(g, n)
 
 
 def emit_relation(g: int, n: int) -> PicRelation:
     """Fill every coefficient of the relation from the closed form, exactly."""
+    _check_stable(g, n)
+    if (g + 1) << n > MAX_RELATION_SIZE:
+        raise ValueError(f"(g + 1) * 2^n at (g, n) = ({g}, {n}) is above the cap {MAX_RELATION_SIZE}")
     strata = boundary_strata(g, n)
     fgn = _F(g, n)
     if fgn == 0:

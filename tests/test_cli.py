@@ -1,16 +1,19 @@
 """Command-line behavior: outputs, exit codes, JSON determinism."""
 
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from wzw import cli
+from wzw import cli, correlator
 from wzw.acceptance import CriterionResult
+from wzw.fusion import MAX_GENUS, MAX_INSERTIONS, closed_form_value
 from wzw.lie import InvariantError
 
 
@@ -175,6 +178,47 @@ def test_pic_relation(capsys):
     assert "not stable" in err
 
 
+def test_pic_relation_refuses_oversized_input_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pic-relation", "--genus", "1", "--markings", "22")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+
+
+@pytest.mark.parametrize(
+    "args,gn",
+    [(["--genus", "1500"], (1500, 0)), (["--genus", "0", "--weights", "[1,0]x3000"], (0, 3000))],
+)
+def test_verlinde_large_genus_and_insertions_answer(capsys, args, gn):
+    code, out, _ = run(capsys, "verlinde", "--algebra", "G2", "--level", "1", *args, "--json")
+    assert code == 0
+    assert json.loads(out) == {"dimension": closed_form_value(*gn)}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--genus", str(MAX_GENUS + 1)],
+        ["--genus", "0", "--weights", f"[1,0]x{MAX_INSERTIONS + 1}"],
+        ["--genus", "0", "--weights", f"[1,0]x{MAX_INSERTIONS}", "[0,0]"],
+    ],
+)
+def test_verlinde_refuses_above_the_caps(capsys, args):
+    code, out, err = run(capsys, "verlinde", "--algebra", "G2", "--level", "1", *args)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+
+
+def test_correlator_budget_overrun_exits_two(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "reduce_state", functools.partial(correlator.reduce_state, budget=1))
+    script = tmp_path / "s.txt"
+    script.write_text("level 2\nslot1: H(-1) H(-1)\nslot2: X+a(-1) X+a(-1)\nslot3: X-a(-1) X-a(-1)\n")
+    code, out, err = run(capsys, "correlator", "--script", str(script))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "gauge moves" in err
+
+
 # sha256 of the --json stdout, pinned so a refactor cannot change any byte
 PINNED_JSON_DIGESTS = {
     "root-system --algebra G2": "fb9ccb837196d4c477b4f1874b93822cd58bdd1c51b0c5195c0faf22ced2727c",
@@ -191,7 +235,26 @@ PINNED_JSON_DIGESTS = {
         "07718467b3a10ae2fa99fdd28c2d396d0342d530ae0fcf4de826ca91d8126f9a"
     ),
     "verlinde --algebra F4 --level 1 --genus 3": "bacbb13354d7a35c8bcef14ec4ac6a38818e12e971da39671ba932ee0532528a",
+    "verlinde --algebra G2 --level 3 --genus 0 --weights [1,0] [0,1] [1,1] [2,0]": (
+        "a1014efde703cdee1fb925dab77e239ba1f402c514933baafe7c54a9acbf9591"
+    ),
+    "verlinde --algebra G2 --level 3 --genus 1 --weights [1,0]x2 [3,0]": (
+        "3d628855229f36712b414e03b29a511ea0dd2bea853b80256da48eb6a3ddb224"
+    ),
+    "verlinde --algebra G2 --level 3 --genus 2 --weights [0,1] [1,1]": (
+        "1e91b21a1c614d73d0530b4342ad707ee79567de4b3fd4271074a5526c841ccf"
+    ),
+    "verlinde --algebra F4 --level 2 --genus 0 --weights [0,0,0,1]x3 [0,0,1,0] [1,0,0,0]": (
+        "7ad2bbf055cc9d50d2ff36b26ceada02c335232abc0049b4cd0dd1292911c6e0"
+    ),
+    "verlinde --algebra F4 --level 2 --genus 1 --weights [0,0,0,2] [1,0,0,0]": (
+        "db8aeea14ba50777c638884d810351d6acb998f69ef2cac72906c58528825ede"
+    ),
+    "verlinde --algebra F4 --level 2 --genus 2 --weights [0,0,0,1] [0,0,1,0]": (
+        "a6385d769f8d7aab97b6d912c866ed30c1d65327a82f5d522b4fb8f930088357"
+    ),
     "pic-relation --genus 1 --markings 3": "5ccef8ed0495c7729922c5add63e5d8ebe53f4d361af9bf27ef0b014f07568c4",
+    "pic-relation --genus 2 --markings 4": "f237283ac161b4bd41124f82b4ad7f8b78e62eb58f74704f0f0ca80d712f16a8",
     "correlator --case I": "5ba24aa608c822a1231a297d2bc7b9ac9a0529344cb1c6c265c3150791b66582",
     "correlator --case II": "7b045b7097ce518e46b77588522bc9cbf928cad31badf8dd90784c701d8e7c78",
     "correlator --case III": "51c55e9e202280bfccc710e3f840961542889938d26a64445a034c449766cb4a",

@@ -1,10 +1,13 @@
 """Kac-Walton fusion and conformal-block dimensions."""
 
 import itertools
+import random
 
 import pytest
 
 from wzw.fusion import (
+    MAX_GENUS,
+    MAX_INSERTIONS,
     CurveData,
     closed_form_dimension,
     closed_form_value,
@@ -167,3 +170,55 @@ def test_negative_genus_rejected():
     ring = fusion_ring(G2, 1)
     with pytest.raises(ValueError):
         CurveData(-1, ())
+
+
+def test_caps_refuse_one_past_the_limit():
+    ring = fusion_ring(G2, 1)
+    vac, tau = ring.basis
+    with pytest.raises(ValueError, match="cap"):
+        verlinde_dim(ring, CurveData(MAX_GENUS + 1, ()))
+    with pytest.raises(ValueError, match="cap"):
+        verlinde_dim(ring, CurveData(0, (tau,) * MAX_INSERTIONS + (vac,)))
+
+
+def _factorization_blocks(ring, genus, labels, memo):
+    """The factorization recursion with (0, n<=3) base cases, an independent route."""
+    key = (genus, labels)
+    if key in memo:
+        return memo[key]
+    d = ring.datum
+    if genus > 0:
+        pairs = ((mu.labels, ring.dual(mu).labels) for mu in ring.basis)
+        total = sum(_factorization_blocks(ring, genus - 1, tuple(sorted(labels + p)), memo) for p in pairs)
+    elif len(labels) == 0:
+        total = 1
+    elif len(labels) == 1:
+        total = int(labels[0] == ring.basis[0].labels)
+    elif len(labels) == 2:
+        total = int(ring.dual(d.weight(labels[0])).labels == labels[1])
+    elif len(labels) == 3:
+        x, y, z = (d.weight(l) for l in labels)
+        total = ring.coefficient(x, y, ring.dual(z))
+    else:
+        x, y = d.weight(labels[0]), d.weight(labels[1])
+        total = sum(
+            m * _factorization_blocks(ring, 0, tuple(sorted(labels[2:] + (nu.labels,))), memo)
+            for nu, m in ring.product(x, y).items()
+        )
+    memo[key] = total
+    return total
+
+
+# A2 has nontrivial charge conjugation, so it also checks N_mu* = transpose of N_mu
+@pytest.mark.parametrize(
+    "algebra,level", [(a, l) for a in (G2, F4) for l in (1, 2, 3)] + [(LieAlgebraId("A", 2), 2)]
+)
+def test_matrix_route_matches_factorization_recursion(algebra, level):
+    ring = fusion_ring(algebra, level)
+    rng = random.Random(f"{algebra}-{level}")
+    memo = {}
+    for genus in range(3):
+        for _ in range(6):
+            ws = tuple(rng.choice(ring.basis) for _ in range(rng.randint(0, 5 - genus)))
+            want = _factorization_blocks(ring, genus, tuple(sorted(w.labels for w in ws)), memo)
+            assert verlinde_dim(ring, CurveData(genus, ws)) == want, (genus, ws)

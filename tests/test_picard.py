@@ -8,6 +8,7 @@ import pytest
 from wzw.fusion import closed_form_value
 from wzw.picard import (
     IRR,
+    MAX_RELATION_SIZE,
     BoundaryIndex,
     boundary_strata,
     emit_relation,
@@ -39,6 +40,16 @@ def brute_force_strata(g, n):
 @pytest.mark.parametrize("g,n", [(g, n) for g in range(5) for n in range(6) if 2 * g - 2 + n > 0])
 def test_stratum_count_matches_brute_force(g, n):
     assert len(boundary_strata(g, n)) == brute_force_strata(g, n)
+
+
+def test_relation_size_cap():
+    # every size the acceptance suite and the benchmark use, up to (g + 1) 2^n = 2048, is admitted
+    for g, n in ((1, 10), (15, 7)):
+        assert len(emit_relation(g, n).boundary) == brute_force_strata(g, n)
+    with pytest.raises(ValueError, match="cap"):
+        emit_relation(0, MAX_RELATION_SIZE.bit_length())
+    with pytest.raises(ValueError, match="cap"):
+        emit_relation(1, 22)
 
 
 def test_strata_examples():

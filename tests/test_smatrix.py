@@ -1,11 +1,12 @@
 """Numeric Kac-Peterson S-matrix against the exact fusion ring."""
 
 import itertools
+import random
 
 import mpmath as mp
 import pytest
 
-from wzw.fusion import fusion_ring
+from wzw.fusion import CurveData, fusion_ring, verlinde_dim
 from wzw.lie import LieAlgebraId
 from wzw.smatrix import (
     DEFAULT_PRECISION,
@@ -52,6 +53,29 @@ def test_verlinde_formula_reproduces_kac_walton(algebra, level):
             numeric = sm.fusion_coefficient(i, j, k)
             exact = ring.coefficient(ring.basis[i], ring.basis[j], ring.basis[k])
             assert abs(numeric - exact) < mp.mpf("1e-10")
+
+
+@pytest.mark.parametrize("algebra,level", CASES)
+def test_numeric_verlinde_formula_matches_block_dimensions(algebra, level):
+    # dim V_g(l_1..l_n) = sum_a S_0a^(2-2g-n) prod_i S_(l_i)a; every G2/F4 weight
+    # is self-dual, so no conjugate is needed
+    sm = s_matrix(algebra, level, 50)
+    ring = fusion_ring(algebra, level)
+    assert all(ring.dual(w) == w for w in ring.basis)
+    rng = random.Random(f"{algebra}-{level}")
+    with mp.workdps(sm.precision):
+        for genus, n in itertools.product(range(4), range(5)):
+            picks = [rng.randrange(len(ring.basis)) for _ in range(n)]
+            total = mp.mpc(0)
+            for a in range(len(ring.basis)):
+                term = sm.entries[0][a] ** (2 - 2 * genus - n)
+                for i in picks:
+                    term *= sm.entries[i][a]
+                total += term
+            exact = verlinde_dim(ring, CurveData(genus, tuple(ring.basis[i] for i in picks)))
+            assert abs(total.imag) < mp.mpf("1e-20")
+            assert int(mp.nint(total.real)) == exact, (genus, picks)
+            assert abs(total.real - exact) < mp.mpf("1e-20") * max(exact, 1)
 
 
 def test_vacuum_row_positive():

@@ -70,3 +70,4 @@ def test_lattice_oracle_touches_no_lie_name():
 def test_closed_form_never_calls_the_block_recursion():
     used = _names_used(_tree("fusion"), ["closed_form_dimension", "closed_form_value"])
     assert "_blocks" not in used and "verlinde_dim" not in used
+    assert "_fusion_matrices" not in used
