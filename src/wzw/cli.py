@@ -121,6 +121,13 @@ def cmd_verlinde(args):
     ring = fusion_ring(d.algebra, args.level)
     insertions = _parse_weights(args.weights or [], d)
     dim = verlinde_dim(ring, CurveData(args.genus, insertions))
+    try:
+        str(dim)
+    except ValueError:  # longer than the interpreter's integer-to-string limit
+        raise ValueError(
+            "the dimension has too many digits to print; "
+            "set PYTHONINTMAXSTRDIGITS to raise the limit (0 removes it)"
+        ) from None
     doc = {"dimension": dim}
     _emit(args, doc, [json.dumps(doc)])
     return 0

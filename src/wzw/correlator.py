@@ -9,6 +9,14 @@ coordinates, then commuted down to the vacuum.  Inserted modes are always
 nonnegative, so the total depth drops at every step and the rewriting ends
 in a scalar.
 
+The expansion of xi_i^n at slot j comes from one table: in the coordinate t
+of slot j it is sign * t^shift * (1 + s*t)^e with (sign, shift, s, e) fixed
+per slot pair.  The reduction keeps its open terms in layers by total depth
+and empties the deepest layer first.  Every contribution to a term comes
+from a deeper one, so a term is complete when its layer is reached; the
+order inside a layer does not matter, and depth 0 holds only the all-vacuum
+term, whose coefficient is the result.
+
 Scalars are polynomials in declared pairing symbols; the central element
 acts by the integer level.  The bracket closes over one root direction at a
 time plus the Cartan symbols: crossing two distinct root symbols is
@@ -21,10 +29,21 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 
 class ReductionBudgetExceeded(RuntimeError):
     """Raised when the rewriting loop exceeds its step budget."""
+
+
+def _accumulate(acc: dict, key, value) -> None:
+    """acc[key] += value, dropping the key when the sum vanishes."""
+    prev = acc.get(key)
+    total = value if prev is None else prev + value
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 # ----------------------------------------------------------------------------
@@ -44,14 +63,7 @@ class Poly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    key = tuple(sorted(mono))
-                    acc = self.terms.get(key, 0) + c
-                    if acc:
-                        self.terms[key] = acc
-                    else:
-                        self.terms.pop(key, None)
+                _accumulate(self.terms, tuple(sorted(mono)), Fraction(c))
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -81,11 +93,7 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = out.get(mono, 0) + c
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
+            _accumulate(out, mono, c)
         p = Poly()
         p.terms = out
         return p
@@ -108,12 +116,7 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2))
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                _accumulate(out, tuple(sorted(m1 + m2)), c1 * c2)
         p = Poly()
         p.terms = out
         return p
@@ -186,7 +189,7 @@ _ONE = Poly.const(1)
 # mode operators and pairing data
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ModeOp:
     """One current mode: a root vector X(+/-)r(n) or a Cartan element h(n).
 
@@ -375,15 +378,6 @@ def case_cartan_insertion(root: str = "b", cartan: str = "H") -> CorrelatorState
     )
 
 
-def annihilate_vacuum(state: CorrelatorState) -> CorrelatorState:
-    """Drop terms whose slot words end in a nonnegative mode next to the vacuum."""
-    kept = tuple(
-        t for t in state.terms
-        if not any(w and w[-1].mode >= 0 for w in t.slots)
-    )
-    return CorrelatorState(kept)
-
-
 # ----------------------------------------------------------------------------
 # normal ordering and gauge moves
 
@@ -391,9 +385,8 @@ def annihilate_vacuum(state: CorrelatorState) -> CorrelatorState:
 def _merge(pairs):
     acc = {}
     for coeff, word in pairs:
-        prev = acc.get(word)
-        acc[word] = coeff if prev is None else prev + coeff
-    return [(c, w) for w, c in acc.items() if c]
+        _accumulate(acc, word, coeff)
+    return [(c, w) for w, c in acc.items()]
 
 
 def _push(word, op, env):
@@ -437,6 +430,18 @@ def _binom(n: int, k: int) -> Fraction:
     return Fraction(num, math.factorial(k))
 
 
+# xi_i^n in the coordinate t of slot j is sign * t^shift * (1 + s*t)^e;
+# (i, j) -> n -> (sign, shift, s, e)
+_INSERTION_RULES = {
+    (0, 1): lambda n: (1, -n, -1, n),  # (z-1)^n = t^-n (1 - t)^n, t = 1/z
+    (0, 2): lambda n: (-1 if n % 2 else 1, 0, -1, n),  # (z-1)^n = (-1)^n (1 - t)^n, t = z
+    (1, 0): lambda n: (1, 0, 1, -n),  # z^-n = (1 + t)^-n, t = z - 1
+    (1, 2): lambda n: (1, -n, 1, 0),  # z^-n = t^-n, t = z
+    (2, 0): lambda n: (1, 0, 1, n),  # z^n = (1 + t)^n, t = z - 1
+    (2, 1): lambda n: (1, -n, 1, 0),  # z^n = t^-n, t = 1/z
+}
+
+
 def _insertion_modes(i: int, j: int, n: int, max_mode: int):
     """Expansion of xi_i^n in the coordinate at slot j, modes capped by max_mode.
 
@@ -444,37 +449,15 @@ def _insertion_modes(i: int, j: int, n: int, max_mode: int):
     z - 1, 1/z, z.  For nonpositive n the function is regular away from the
     marked points and every inserted mode is nonnegative.
     """
-    out = []
-    if i == 0 and j == 1:  # (z-1)^n in powers of 1/z
-        k = 0
-        while k - n <= max_mode:
-            c = _binom(n, k) * (-1 if k % 2 else 1)
-            if c:
-                out.append((k - n, c))
-            k += 1
-    elif i == 0 and j == 2:  # (z-1)^n in powers of z
-        for k in range(max_mode + 1):
-            c = _binom(n, k) * (-1 if (n + k) % 2 else 1)
-            if c:
-                out.append((k, c))
-    elif i == 1 and j == 0:  # z^{-n} in powers of z-1
-        for k in range(max_mode + 1):
-            c = _binom(-n, k)
-            if c:
-                out.append((k, c))
-    elif i == 1 and j == 2:  # z^{-n} is already a power of z
-        if 0 <= -n <= max_mode:
-            out.append((-n, Fraction(1)))
-    elif i == 2 and j == 0:  # z^n in powers of z-1
-        for k in range(max_mode + 1):
-            c = _binom(n, k)
-            if c:
-                out.append((k, c))
-    elif i == 2 and j == 1:  # z^n is a power of 1/z
-        if 0 <= -n <= max_mode:
-            out.append((-n, Fraction(1)))
-    else:
+    rule = _INSERTION_RULES.get((i, j))
+    if rule is None:
         raise ValueError(f"bad slot pair ({i}, {j})")
+    sign, shift, s, e = rule(n)
+    out = []
+    for k in range(max_mode - shift + 1):
+        c = sign * _binom(e, k) * s**k
+        if c:
+            out.append((shift + k, c))
     return out
 
 
@@ -531,42 +514,32 @@ def default_strategy(slots) -> int:
 
 
 def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget: int = 10000) -> Poly:
-    """Fully reduce a state to its scalar, a polynomial in the pairing symbols."""
+    """Fully reduce a state to its scalar, a polynomial in the pairing symbols.
+
+    budget caps the number of gauge moves, one per open term processed.
+    """
     strategy = strategy or default_strategy
-    work = {}
+    layers = [{}]  # layers[d]: {slots: coefficient} for the open terms of total depth d
     for t in state.terms:
-        expansions = [_normalize_word(w, env) for w in t.slots]
-        for c1, w1 in expansions[0]:
-            for c2, w2 in expansions[1]:
-                for c3, w3 in expansions[2]:
-                    key = (w1, w2, w3)
-                    add = t.coefficient * c1 * c2 * c3
-                    prev = work.get(key)
-                    work[key] = add if prev is None else prev + add
-    result = _ZERO
+        for (c1, w1), (c2, w2), (c3, w3) in product(*(_normalize_word(w, env) for w in t.slots)):
+            key = (w1, w2, w3)
+            depth = sum(map(_depth, key))
+            layers.extend({} for _ in range(depth + 1 - len(layers)))
+            _accumulate(layers[depth], key, t.coefficient * c1 * c2 * c3)
     steps = 0
-    while work:
-        key = max(work, key=lambda k: (sum(_depth(w) for w in k), k))
-        poly = work.pop(key)
-        if not poly:
-            continue
-        if not any(key):
-            result = result + poly
-            continue
-        steps += 1
-        if steps > budget:
-            raise ReductionBudgetExceeded(
-                f"no scalar after {budget} gauge moves; {len(work) + 1} open terms, "
-                f"deepest {sum(_depth(w) for w in key)}"
-            )
-        i = strategy(key)
-        if not key[i]:
-            raise ValueError(f"strategy chose empty slot {i + 1}")
-        for coeff, slots in _gauge_step(key, i, env):
-            add = poly * coeff
-            prev = work.get(slots)
-            work[slots] = add if prev is None else prev + add
-    return result
+    while len(layers) > 1:
+        for key, poly in layers.pop().items():
+            steps += 1
+            if steps > budget:
+                raise ReductionBudgetExceeded(
+                    f"no scalar after {budget} gauge moves; open terms remain at depth {len(layers)}"
+                )
+            i = strategy(key)
+            if not key[i]:
+                raise ValueError(f"strategy chose empty slot {i + 1}")
+            for coeff, slots in _gauge_step(key, i, env):
+                _accumulate(layers[sum(map(_depth, slots))], slots, poly * coeff)
+    return layers[0].get(((), (), ()), _ZERO)
 
 
 # ----------------------------------------------------------------------------

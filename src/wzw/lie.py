@@ -524,19 +524,18 @@ class WeightSystem:
 @lru_cache(maxsize=None)
 def _weight_system_cached(algebra: LieAlgebraId, lam: Labels):
     d = build_root_datum(algebra)
-    dom = _dominant_multiplicities(d, lam)
     full = {}
-    for mu, m in dom.items():
+    for mu, m in _dominant_multiplicities(d, lam).items():
         for w in d.weyl_orbit(mu):
             full[w] = m
-    return dom, full
+    return full
 
 
 def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:
     _check_same_algebra(d, lam)
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    _, full = _weight_system_cached(d.algebra, tuple(lam.labels))
+    full = _weight_system_cached(d.algebra, tuple(lam.labels))
     ws = WeightSystem(lam, {d.weight(k): v for k, v in full.items()})
     if ws.dimension != weyl_dimension(d, lam):
         raise InvariantError(f"weight system of {lam} misses the Weyl dimension")
@@ -551,7 +550,7 @@ def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
             raise ValueError(f"{w} is not dominant")
     if weyl_dimension(d, mu) > weyl_dimension(d, lam):
         lam, mu = mu, lam
-    _, wts = _weight_system_cached(d.algebra, tuple(mu.labels))
+    wts = _weight_system_cached(d.algebra, tuple(mu.labels))
     out: dict = {}
     base = tuple(x + 1 for x in lam.labels)  # lam + rho
     for nu, m in wts.items():

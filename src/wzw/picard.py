@@ -48,12 +48,13 @@ def _check_stable(g: int, n: int):
 def reducible_index(g: int, n: int, h: int, markings) -> BoundaryIndex:
     """Canonical, stability-checked index for the stratum splitting off (h, A)."""
     _check_stable(g, n)
-    a = tuple(sorted(set(markings)))
+    marked = set(markings)
+    a = tuple(sorted(marked))
     if not 0 <= h <= g:
         raise ValueError(f"side genus {h} out of range for genus {g}")
     if any(m < 1 or m > n for m in a):
         raise ValueError(f"markings {a} not within 1..{n}")
-    comp = tuple(m for m in range(1, n + 1) if m not in set(a))
+    comp = tuple(m for m in range(1, n + 1) if m not in marked)
     if h == 0 and len(a) < 2:
         raise ValueError(f"stratum ({h}, {a}) has an unstable genus-0 side")
     if g - h == 0 and len(comp) < 2:
@@ -173,22 +174,18 @@ def relation_consistency(g: int, n: int) -> ConsistencyReport:
     )
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
 def relation_json_obj(rel: PicRelation) -> dict:
     """The documented JSON shape; genuinely rational entries as "p/q" strings."""
     rhs = {
-        "g2_block": _rat(rel.g2_block_coeff),
+        "g2_block": str(rel.g2_block_coeff),
         "f4_block": int(rel.f4_block_coeff),
     }
     boundary = []
     for s, c in rel.boundary:
         if s.kind == "irr":
-            rhs["irr"] = _rat(c)
+            rhs["irr"] = str(c)
         else:
-            boundary.append({"h": s.h, "A": list(s.markings), "coeff": _rat(c)})
+            boundary.append({"h": s.h, "A": list(s.markings), "coeff": str(c)})
     rhs["boundary"] = boundary
     return {
         "lhs": {"lambda": int(rel.hodge_coeff), "psi": [int(p) for p in rel.psi_coeffs]},

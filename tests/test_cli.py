@@ -210,6 +210,19 @@ def test_verlinde_refuses_above_the_caps(capsys, args):
     assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
 
 
+def test_verlinde_too_long_to_print_exits_two(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter's default
+    try:
+        code, out, err = run(capsys, "verlinde", "--algebra", "G2", "--level", "1", "--genus", "10000")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "too many digits to print" in err and "PYTHONINTMAXSTRDIGITS" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_correlator_budget_overrun_exits_two(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "reduce_state", functools.partial(correlator.reduce_state, budget=1))
     script = tmp_path / "s.txt"
@@ -258,12 +271,38 @@ PINNED_JSON_DIGESTS = {
     "correlator --case I": "5ba24aa608c822a1231a297d2bc7b9ac9a0529344cb1c6c265c3150791b66582",
     "correlator --case II": "7b045b7097ce518e46b77588522bc9cbf928cad31badf8dd90784c701d8e7c78",
     "correlator --case III": "51c55e9e202280bfccc710e3f840961542889938d26a64445a034c449766cb4a",
+    "correlator --case III --level 4": "20fdb89d13fa56ac2da40cda5079605d085bee910a4134b0480e642f2297cd54",
+    "correlator --script h3x3.txt": "74d448391bf21e21e39fff542ab036fcea9c4f9c001aa3852f8ec0a3664f3a44",
+    "correlator --script mixed.txt": "e69f5aa924f4654c79eb22fc409ca6e868c191e47bf620ef19d267f77b64e1b8",
+    "correlator --script deep.txt": "064f43dd8edf55bcd0896ea379e8969fab208a17bbdbc7bcc8be84c78ce01ad2",
     "embedding list": "e379b9b9c59ef30e5c7c0aad3c7dae778d11abaf6b6e0bd4827271db8bed2d3e",
     "branch-verify": "ced71038afd12ab316a52f4d2053972f05fd68a6b6f4aaf1dcc87fd4964250de",
 }
 
 
-def test_json_outputs_byte_stable(capsys):
+# the scripts behind the --script pins, written under these names (the JSON
+# records the path); mixed.txt (depth 7) and deep.txt (depth 9) carry
+# nonnegative modes inside words
+PINNED_SCRIPTS = {
+    "h3x3.txt": (
+        "level 3\nslot1: H(-1) H(-1) H(-1)\nslot2: X+a(-1) X+a(-1) X+a(-1)\n"
+        "slot3: X-a(-1) X-a(-1) X-a(-1)\n"
+    ),
+    "mixed.txt": (
+        "level 3\nslot1: H(-1) X+a(1) X-a(-2)\nslot2: X+a(-2) H(-1)\n"
+        "slot3: X-a(-1) X+a(0) X-a(-1)\n"
+    ),
+    "deep.txt": (
+        "level 3\nslot1: H(-2) X+a(-1) X-a(1) X+a(-1)\nslot2: X-a(-3) H(-1)\n"
+        "slot3: H(-1) X+a(0) X-a(-1)\n"
+    ),
+}
+
+
+def test_json_outputs_byte_stable(capsys, monkeypatch, tmp_path):
+    for name, text in PINNED_SCRIPTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     fixed_commands = [
         ("root-system", "--algebra", "F4", "--json"),
         ("fusion", "--algebra", "G2", "--level", "2", "--json"),

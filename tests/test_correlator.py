@@ -1,8 +1,11 @@
 """Symbolic current-algebra rewriting: brackets, gauge moves, reductions."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wzw.correlator import (
     CorrelatorState,
@@ -10,7 +13,6 @@ from wzw.correlator import (
     PairingEnv,
     Poly,
     ReductionBudgetExceeded,
-    annihilate_vacuum,
     apply_bracket,
     cartan_mode,
     case_cartan_insertion,
@@ -160,15 +162,7 @@ def test_env_validation():
 
 
 # ---------------------------------------------------------------------------
-# vacuum annihilation and gauge moves
-
-
-def test_annihilate_vacuum_drops_trailing_nonnegative_modes():
-    keep = CorrelatorState.single((root_mode("a", +1, -1),), (), ())
-    drop = CorrelatorState.single((cartan_mode(-2), root_mode("a", +1, 0)), (), ())
-    mixed = keep + drop
-    assert annihilate_vacuum(mixed) == keep
-    assert annihilate_vacuum(case_vacua()) == case_vacua()
+# gauge moves
 
 
 def test_gauge_move_validates_leading_operator():
@@ -278,6 +272,17 @@ def test_budget_guard():
         reduce_state(case_cartan_insertion(), PairingEnv(level=1), budget=0)
 
 
+def test_budget_counts_gauge_moves_exactly():
+    # 61 gauge moves reduce H(-1)^3 X+a(-1)^3 X-a(-1)^3 at level 3; 60 do not
+    state, env = parse_script(
+        "level 3\nslot1: H(-1) H(-1) H(-1)\nslot2: X+a(-1) X+a(-1) X+a(-1)\n"
+        "slot3: X-a(-1) X-a(-1) X-a(-1)\n"
+    )
+    with pytest.raises(ReductionBudgetExceeded):
+        reduce_state(state, env, budget=60)
+    assert reduce_state(state, env, budget=61) == Poly({("aH",) * 3 + ("xa",) * 3: 972})
+
+
 def test_deeper_words_terminate():
     env = PairingEnv(level=1)
     state = CorrelatorState.single(
@@ -294,6 +299,46 @@ def test_normal_ordering_inside_a_slot():
     env = PairingEnv(level=1)
     state = CorrelatorState.single((root_mode("a", +1, 1), root_mode("a", -1, -1)), (), ())
     assert reduce_state(state, env) == Poly.symbol("xa")
+    # a word ending in a nonnegative mode annihilates its vacuum: the term adds nothing
+    dropped = CorrelatorState.single(
+        (cartan_mode(-2), root_mode("a", +1, 0)), (root_mode("a", +1, -1),), (root_mode("a", -1, -1),)
+    )
+    assert reduce_state(case_opposite_pair() + dropped, env) == -Poly.symbol("xa")
+
+
+# ---------------------------------------------------------------------------
+# closed-form and null-vector oracles (no second run of the engine)
+
+
+@given(k=st.integers(0, 5), level=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_opposite_powers_match_the_closed_form(k, level):
+    # X+a(-1)^k at slot 2 against X-a(-1)^k at slot 3: (-1)^k k! (level)_k xa^k
+    state = CorrelatorState.single((), (root_mode("a", +1, -1),) * k, (root_mode("a", -1, -1),) * k)
+    falling = math.prod(range(level - k + 1, level + 1))
+    expected = Poly({("xa",) * k: (-1) ** k * math.factorial(k) * falling})
+    assert reduce_state(state, PairingEnv(level=level)) == expected
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_null_vector_vanishes_in_every_neutral_completion(data):
+    # X+a(-1)^(level+1)|0> lies in the maximal submodule of the vacuum module,
+    # and the three-vacuum block factors through the integrable quotient
+    level = data.draw(st.sampled_from((1, 2)))
+    null_slot = data.draw(st.integers(0, 2))
+    first, second = (j for j in range(3) if j != null_slot)
+    split = data.draw(st.integers(0, level + 1))
+    slots = [[], [], []]
+    slots[null_slot] = [root_mode("a", +1, -1)] * (level + 1)
+    slots[first] = [root_mode("a", -1, -1)] * split
+    slots[second] = [root_mode("a", -1, -1)] * (level + 1 - split)
+    if data.draw(st.booleans()):
+        h_slot = data.draw(st.integers(0, 2))
+        # inside the null slot H acts from outside only: it keeps the submodule
+        pos = 0 if h_slot == null_slot else data.draw(st.integers(0, len(slots[h_slot])))
+        slots[h_slot].insert(pos, cartan_mode(-data.draw(st.integers(1, 3))))
+    assert not reduce_state(CorrelatorState.single(*slots), PairingEnv(level=level))
 
 
 # ---------------------------------------------------------------------------
