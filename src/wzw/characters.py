@@ -19,15 +19,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .embeddings import trace_anomaly
-from .lie import InvariantError, LieAlgebraId, Weight, build_root_datum
+from .lie import InvariantError, LieAlgebraId, Weight, build_root_datum, dominant_below
 
 
 class GradedModule:
     """Weight multiplicity table of one integrable highest-weight module.
 
-    Rows are filled a depth at a time; within a depth, candidates are
-    processed by increasing height of highest + depth*theta - nu, so every
-    same-depth lookup lands on an entry that already exists.
+    Rows are filled a depth at a time.  The candidates at depth k are the
+    dominant weights below highest + k*theta in the norm ball that the
+    affine Freudenthal denominator allows (lie.dominant_below), processed by
+    increasing height of highest + k*theta - nu, so every same-depth lookup
+    lands on an entry that already exists.
     """
 
     def __init__(self, algebra: LieAlgebraId, level: int, highest: Weight):
@@ -46,49 +48,19 @@ class GradedModule:
             tuple(-x for x in lab) for lab in d.positive_root_labels
         )
         self._kappa = level + d.dual_coxeter
-        top = tuple(x + 1 for x in self.highest)
-        self._top_norm = d.scaled_ip(top, top)  # D (highest + rho, highest + rho)
+        self._top_norm = d.rho_norm(self.highest)
         self._mult = {(self.highest, 0): 1}
         self._candidate_rows: list = []
         self._done = -1
 
     # -- candidate enumeration -------------------------------------------------
 
-    def _ball(self, bound):
-        """Dominant label vectors nu with D (nu+rho, nu+rho) <= bound."""
-        d = self.datum
-        n = d.rank
-        lab = [0] * n
-        out = []
-
-        def rec(i):
-            if i == n:
-                out.append(tuple(lab))
-                return
-            v = 0
-            while True:
-                lab[i] = v
-                shifted = tuple(x + 1 for x in lab)
-                if d.scaled_ip(shifted, shifted) > bound:
-                    break
-                rec(i + 1)
-                v += 1
-            lab[i] = 0
-
-        rec(0)
-        return out
-
     def _candidates(self, k):
         """Dominant weights that can occur at depth k, by increasing height gap."""
         d = self.datum
         top = tuple(h + k * t for h, t in zip(self.highest, d.theta_labels))
-        rows = []
-        for nu in self._ball(self._top_norm + 2 * k * self._kappa * d.denominator):
-            coords = d.root_coords(tuple(a - b for a, b in zip(top, nu)))
-            if coords is not None and min(coords) >= 0:
-                rows.append((sum(coords), nu))
-        rows.sort()
-        return tuple(nu for _, nu in rows)
+        bound = self._top_norm + 2 * k * self._kappa * d.denominator
+        return tuple(nu for nu, _ in dominant_below(d, top, bound))
 
     # -- multiplicities -------------------------------------------------
 
@@ -109,8 +81,7 @@ class GradedModule:
 
     def _freudenthal(self, nu, k):
         d = self.datum
-        nu_rho = tuple(x + 1 for x in nu)
-        norm_nu = d.scaled_ip(nu_rho, nu_rho)
+        norm_nu = d.rho_norm(nu)
         bound = self._top_norm + 2 * k * self._kappa * d.denominator
         num = bound - norm_nu
         if num <= 0:
@@ -126,8 +97,7 @@ class GradedModule:
                 m = self.multiplicity(w, k)
                 if m:
                     total += m * d.scaled_ip(w, beta)
-                w_rho = tuple(x + 1 for x in w)
-                q = d.scaled_ip(w_rho, w_rho)
+                q = d.rho_norm(w)
                 if q > bound and q >= q_prev:
                     break  # the norm is convex in j, so no weight lies further out
                 q_prev = q

@@ -545,6 +545,10 @@ def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget:
 # ----------------------------------------------------------------------------
 # the script language
 
+# Cap on the operators of one script; pushing a mode through a word recurses
+# once per operator, so the cap keeps that far below the interpreter's limit.
+MAX_SCRIPT_OPERATORS = 200
+
 _TERM_RE = re.compile(r"^(?:X([+-])([A-Za-z][A-Za-z0-9_]*)|H)\((-?\d+)\)$")
 _SLOT_RE = re.compile(r"^slot([123])\s*:\s*(.*)$")
 
@@ -590,5 +594,7 @@ def parse_script(text: str):
             else:
                 ops.append(root_mode(root, +1 if sign == "+" else -1, int(mode)))
         slots[idx] = tuple(ops)
+    if sum(len(w) for w in slots.values() if w) > MAX_SCRIPT_OPERATORS:
+        raise ValueError(f"script has more than {MAX_SCRIPT_OPERATORS} operators (the cap)")
     state = CorrelatorState.single(slots[1] or (), slots[2] or (), slots[3] or ())
     return state, PairingEnv(level=level)

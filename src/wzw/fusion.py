@@ -24,6 +24,7 @@ from .lie import (
     RootDatum,
     Weight,
     build_root_datum,
+    fold_sum,
     level_weights,
     tensor_decompose,
 )
@@ -68,21 +69,8 @@ class FusionRing:
 def _kac_walton(algebra: LieAlgebraId, level: int, x: tuple, y: tuple) -> dict:
     """Kac-Walton product of two level-ell weights, given as sorted label tuples."""
     d = build_root_datum(algebra)
-    kappa = level + d.dual_coxeter
-    out: dict = {}
-    for w, m in tensor_decompose(d, d.weight(x), d.weight(y)).items():
-        lab, sign, _ = d.fold(tuple(c + 1 for c in w.labels), kappa)
-        if 0 in lab or d.level_of(lab) == kappa:
-            continue  # on an alcove wall
-        target = tuple(c - 1 for c in lab)
-        out[target] = out.get(target, 0) + sign * m
-    result = {}
-    for labels, m in sorted(out.items()):
-        if m < 0:
-            raise InvariantError(f"Kac-Walton folding produced a negative coefficient at {labels}")
-        if m:
-            result[d.weight(labels)] = m
-    return result
+    product = tensor_decompose(d, d.weight(x), d.weight(y))
+    return fold_sum(d, ((w.labels, m) for w, m in product.items()), level + d.dual_coxeter)
 
 
 @lru_cache(maxsize=None)
@@ -112,12 +100,22 @@ MAX_GENUS = MAX_INSERTIONS = 10_000
 def _fusion_matrices(algebra: LieAlgebraId, level: int) -> tuple:
     """(N, H) over basis indices: N[x][a][b] = N_{xa}^b and H = sum_mu N_mu N_mu*.
 
-    N_mu* is the transpose of N_mu, so H[a][b] = sum_mu sum_c N_mu[a][c] N_mu[b][c].
+    Row a of N_x scatters the product x * a by basis index.  N_mu N_mu* is
+    N_{mu x mu*}, so H = sum_z c_z N_z with c_z = sum_mu N_{mu mu*}^z.
     """
     ring = fusion_ring(algebra, level)
-    basis, idx = ring.basis, range(len(ring.basis))
-    n = tuple(tuple(tuple(ring.product(x, y).get(z, 0) for z in basis) for y in basis) for x in basis)
-    h = tuple(tuple(sum(sum(map(mul, m[a], m[b])) for m in n) for b in idx) for a in idx)
+    basis, index, idx = ring.basis, ring.basis_index, range(len(ring.basis))
+
+    def row(x, y):
+        out = [0] * len(basis)
+        for z, m in ring.product(x, y).items():
+            out[index[z]] = m
+        return tuple(out)
+
+    n = tuple(tuple(row(x, y) for y in basis) for x in basis)
+    c = map(sum, zip(*(n[i][index[ring.dual(mu)]] for i, mu in enumerate(basis))))
+    terms = [(cz, n[z]) for z, cz in enumerate(c) if cz]
+    h = tuple(tuple(sum(cz * m[a][b] for cz, m in terms) for b in idx) for a in idx)
     return n, h
 
 

@@ -20,6 +20,9 @@ denominator D (1 for E8, 2 for F4, 3 for G2), so every pairing is an integer
 and (x, y) = scaled_ip(x, y) / D.  Fractions appear only while the datum is
 built and in public return values such as ip; there are no floats.  A failed
 internal check raises InvariantError, which stays active under python -O.
+
+One walk, dominant_weights, enumerates dominant weights under a monotone cost,
+and one routine, fold_sum, sums the signed chamber or alcove folds of weights.
 """
 
 from __future__ import annotations
@@ -253,6 +256,11 @@ class RootDatum:
         """D (x, beta) with x in labels and beta in simple-root coordinates."""
         return sum(b * s * a for b, s, a in zip(beta, self.scaled_symmetrizer, x))
 
+    def rho_norm(self, x: Labels) -> int:
+        """D (x + rho, x + rho)."""
+        shifted = tuple(a + 1 for a in x)
+        return self.scaled_ip(shifted, shifted)
+
     def ip(self, x: Labels, y: Labels) -> Fraction:
         """(x, y) for two weights in Dynkin labels."""
         return Fraction(self.scaled_ip(x, y), self.denominator)
@@ -275,8 +283,9 @@ class RootDatum:
         With kappa, also reflect through the affine wall (x, theta) = kappa
         until the level is at most kappa.  Returns (representative, det(w),
         shift), where shift is the sum of (x, theta) - kappa over the affine
-        reflections; returns None as soon as shift exceeds limit.  Wall tests
-        (a zero label, level equal to kappa) are left to the caller.
+        reflections; returns None as soon as shift exceeds limit.  The wall
+        tests after a fold (a zero label, level equal to kappa) live in
+        fold_sum.
         """
         cols = self.cartan_cols
         lab, sign, shift = labels, 1, 0
@@ -363,7 +372,7 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
 
     cartan_inv = _invert(cartan)
     form = tuple(tuple(d[i] * cartan_inv[i][j] for j in range(n)) for i in range(n))
-    # _dominant_below and the norm pruning in characters rely on positivity
+    # dominant_weights needs a norm that grows with every label
     if any(x <= 0 for row in form for x in row):
         raise InvariantError(f"{algebra}: form has a nonpositive entry")
     denom = math.lcm(*(x.denominator for row in form for x in row))
@@ -400,38 +409,21 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
 def _positive_root_closure(cartan, n) -> dict:
     """Positive root -> Dynkin labels, in height-then-lex order.
 
-    Built upward from the simple roots by root strings.
+    A positive root beta with a negative label c at node i reflects to the
+    higher root beta - c alpha_i, and every non-simple positive root arises
+    so from a lower one; the closure of the simple roots is therefore all.
     """
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    known = set(simple)
-    by_height = {1: list(simple)}
     labels_of = {}
-    h = 1
-    while by_height.get(h):
-        nxt = []
-        for beta in by_height[h]:
-            labels = [sum(cartan[i][j] * beta[j] for j in range(n)) for i in range(n)]
-            labels_of[beta] = tuple(labels)
-            for i in range(n):
-                # p = how far the alpha_i string extends below beta
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
-                        break
-                    p += 1
-                if p - labels[i] > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in known:
-                        known.add(cand)
-                        nxt.append(cand)
-        h += 1
-        if nxt:
-            by_height[h] = nxt
-    return {r: labels_of[r] for r in sorted(known, key=lambda r: (sum(r), r))}
+    todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    while todo:
+        beta = todo.pop()
+        if beta in labels_of:
+            continue
+        labels_of[beta] = labels = tuple(sum(cartan[i][j] * beta[j] for j in range(n)) for i in range(n))
+        for i, c in enumerate(labels):
+            if c < 0:
+                todo.append(tuple(b - c * (j == i) for j, b in enumerate(beta)))
+    return {r: labels_of[r] for r in sorted(labels_of, key=lambda r: (sum(r), r))}
 
 
 # ----------------------------------------------------------------------------
@@ -456,41 +448,59 @@ def weyl_dimension(d: RootDatum, lam: Weight) -> int:
     return dim
 
 
-def _dominant_below(d: RootDatum, lam: Labels) -> list:
-    """All (mu, c): mu dominant with lam - mu = sum c_i alpha_i, every c_i >= 0.
+def dominant_weights(d: RootDatum, cost, bound) -> list:
+    """Dominant label tuples x with cost(x) <= bound, in lexicographic order.
 
-    The inverse Cartan matrix has nonnegative entries, so the coefficients are
-    confined to the box c <= A^{-1} lam.
+    The labels are set in node order, and each label grows until cost, with
+    the later labels at zero, overshoots bound.  That finds every such x when
+    cost never decreases as a label grows: the level does not, and neither
+    does D (x + rho, x + rho), since every Gram entry is positive.
     """
-    n = d.rank
-    bounds = [sum(g * x for g, x in zip(row, lam)) // s for row, s in zip(d.gram, d.scaled_symmetrizer)]
-    total = 1
-    for b in bounds:
-        total *= b + 1
-    if total > 2_000_000:
-        raise ValueError("weight system too large for exact enumeration")
-    cols = d.cartan_cols
-    out = []
-
-    def rec(i, current, coeffs):
-        if i == n:
-            if all(x >= 0 for x in current):
-                out.append((tuple(current), coeffs))
-            return
-        for c in range(bounds[i] + 1):
-            rec(i + 1, [current[j] - c * cols[i][j] for j in range(n)], coeffs + (c,))
-
-    rec(0, list(lam), ())
+    lab = [0] * d.rank
+    if cost(tuple(lab)) > bound:
+        return []
+    out = [tuple(lab)]
+    i = d.rank - 1
+    while i >= 0:
+        lab[i] += 1
+        x = tuple(lab)
+        if cost(x) <= bound:
+            out.append(x)
+            i = d.rank - 1
+        else:
+            lab[i] = 0
+            i -= 1
     return out
 
 
+def dominant_below(d: RootDatum, top: Labels, bound: int) -> list:
+    """All (nu, c): nu dominant with D (nu + rho, nu + rho) <= bound and
+    top - nu = sum c_i alpha_i, every c_i >= 0; ordered by (sum c, nu)."""
+    rows = []
+    for nu in dominant_weights(d, d.rho_norm, bound):
+        c = d.root_coords(tuple(a - b for a, b in zip(top, nu)))
+        if c is not None and min(c) >= 0:
+            rows.append((sum(c), nu, c))
+    rows.sort()
+    return [(nu, c) for _, nu, c in rows]
+
+
 def _dominant_multiplicities(d: RootDatum, lam: Labels) -> dict:
-    """Freudenthal recursion, dominant weights only."""
-    lam_rho = tuple(x + 1 for x in lam)
-    norm_top = d.scaled_ip(lam_rho, lam_rho)
+    """Freudenthal recursion, dominant weights only.
+
+    Every dominant mu <= lam has |mu + rho| <= |lam + rho|, so the norm ball
+    of lam + rho holds them all.  Weights whose coefficient box
+    c <= A^{-1} lam has more than 2,000,000 points are refused.
+    """
+    box = math.prod(
+        sum(g * x for g, x in zip(row, lam)) // s + 1 for row, s in zip(d.gram, d.scaled_symmetrizer)
+    )
+    if box > 2_000_000:
+        raise ValueError("weight system too large for exact enumeration")
+    norm_top = d.rho_norm(lam)
     roots = tuple(zip(d.positive_roots, d.positive_root_labels))
     mult: dict = {}
-    for mu, rc in sorted(_dominant_below(d, lam), key=lambda mc: (sum(mc[1]), mc[0])):
+    for mu, rc in dominant_below(d, lam, norm_top):
         if not any(rc):
             mult[mu] = 1
             continue
@@ -502,8 +512,7 @@ def _dominant_multiplicities(d: RootDatum, lam: Labels) -> dict:
                 m2 = mult.get(d.dominant(nu))
                 if m2:
                     rhs += m2 * d.scaled_ip_root(nu, beta)
-        mu_rho = tuple(x + 1 for x in mu)
-        value, rem = divmod(2 * rhs, norm_top - d.scaled_ip(mu_rho, mu_rho))
+        value, rem = divmod(2 * rhs, norm_top - d.rho_norm(mu))
         if rem:
             raise InvariantError(f"Freudenthal multiplicity of {mu} in {lam} is not an integer")
         if value:
@@ -542,6 +551,30 @@ def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:
     return ws
 
 
+def fold_sum(d: RootDatum, terms, kappa=None) -> dict:
+    """Sum of m * det(w) [w(x + rho) - rho] over the terms (x, m), as {Weight: m}.
+
+    Each rho-shifted term is folded into the dominant chamber, or with kappa
+    into the alcove of level at most kappa; a term landing on a wall (a zero
+    label, or level equal to kappa) drops out.  The signed total must be
+    nonnegative.  The result is in label order, without zero entries.
+    """
+    out: dict = {}
+    for x, m in terms:
+        lab, sign, _ = d.fold(tuple(a + 1 for a in x), kappa)
+        if 0 in lab or (kappa is not None and d.level_of(lab) == kappa):
+            continue
+        target = tuple(a - 1 for a in lab)
+        out[target] = out.get(target, 0) + sign * m
+    result = {}
+    for labels, m in sorted(out.items()):
+        if m < 0:
+            raise InvariantError(f"signed fold sum is negative at {labels}")
+        if m:
+            result[d.weight(labels)] = m
+    return result
+
+
 def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
     """Racah-Speiser: shift the weight system of one factor by rho and fold."""
     _check_same_algebra(d, lam, mu)
@@ -551,20 +584,7 @@ def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
     if weyl_dimension(d, mu) > weyl_dimension(d, lam):
         lam, mu = mu, lam
     wts = _weight_system_cached(d.algebra, tuple(mu.labels))
-    out: dict = {}
-    base = tuple(x + 1 for x in lam.labels)  # lam + rho
-    for nu, m in wts.items():
-        dom, sign, _ = d.fold(tuple(b + v for b, v in zip(base, nu)))
-        if 0 in dom:
-            continue  # on a chamber wall
-        target = tuple(x - 1 for x in dom)
-        out[target] = out.get(target, 0) + sign * m
-    result = {}
-    for labels, m in sorted(out.items()):
-        if m < 0:
-            raise InvariantError(f"Racah-Speiser produced a negative multiplicity at {labels}")
-        if m:
-            result[d.weight(labels)] = m
+    result = fold_sum(d, ((tuple(a + b for a, b in zip(lam.labels, nu)), m) for nu, m in wts.items()))
     # dimension bookkeeping must close
     if sum(m * weyl_dimension(d, w) for w, m in result.items()) != weyl_dimension(
         d, lam
@@ -577,17 +597,4 @@ def level_weights(d: RootDatum, level: int) -> list:
     """Dominant weights of level <= level, lexicographically ordered."""
     if level < 0:
         raise ValueError("level must be nonnegative")
-    out = []
-    comarks = d.comarks
-
-    def rec(i, remaining, current):
-        if i == d.rank:
-            out.append(d.weight(tuple(current)))
-            return
-        c = 0
-        while c * comarks[i] <= remaining:
-            rec(i + 1, remaining - c * comarks[i], current + [c])
-            c += 1
-
-    rec(0, level, [])
-    return sorted(out, key=lambda w: w.labels)
+    return [d.weight(x) for x in dominant_weights(d, d.level_of, level)]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .fusion import closed_form_dimension, closed_form_value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BoundaryIndex:
     """Canonical index of one boundary divisor.
 
@@ -66,20 +66,26 @@ def reducible_index(g: int, n: int, h: int, markings) -> BoundaryIndex:
 
 
 def boundary_strata(g: int, n: int) -> list:
-    """All boundary divisor indices of the (g, n) moduli space, canonical and sorted."""
+    """All boundary divisor indices of the (g, n) moduli space, canonical and sorted.
+
+    Only canonical sides are generated: h <= g - h, and on a tie the side
+    holding marking 1 (the empty side when n = 0).  irr comes first, then the
+    reducible strata by (h, markings).
+    """
     _check_stable(g, n)
-    found = set()
-    if g >= 1:
-        found.add(IRR)
-    for h in range(g + 1):
+    sides = []
+    for h in range(g // 2 + 1):
         for bits in range(1 << n):
             a = tuple(m for m in range(1, n + 1) if bits >> (m - 1) & 1)
             if h == 0 and len(a) < 2:
                 continue
             if g - h == 0 and n - len(a) < 2:
                 continue
-            found.add(reducible_index(g, n, h, a))
-    return sorted(found)
+            if h == g - h and n >= 1 and not bits & 1:
+                continue  # the mirror side holds marking 1
+            sides.append((h, a))
+    head = [IRR] if g >= 1 else []
+    return head + [BoundaryIndex("red", h, a) for h, a in sorted(sides)]
 
 
 @dataclass(frozen=True)

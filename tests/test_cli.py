@@ -232,6 +232,20 @@ def test_correlator_budget_overrun_exits_two(capsys, monkeypatch, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ") and "gauge moves" in err
 
 
+
+def test_correlator_script_operator_cap(capsys, tmp_path):
+    # X+a(0) pushed through a long H(-1) word recursed once per operator
+    script = tmp_path / "s.txt"
+    script.write_text("slot1: X+a(0)" + " H(-1)" * 1200 + "\n")
+    code, out, err = run(capsys, "correlator", "--script", str(script))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert str(correlator.MAX_SCRIPT_OPERATORS) in err
+
+    script.write_text("slot1: X+a(0)" + " H(-1)" * (correlator.MAX_SCRIPT_OPERATORS - 1) + "\n")
+    code, out, _ = run(capsys, "correlator", "--script", str(script), "--json")
+    assert code == 0 and json.loads(out)["value"] == "0"
+
 # sha256 of the --json stdout, pinned so a refactor cannot change any byte
 PINNED_JSON_DIGESTS = {
     "root-system --algebra G2": "fb9ccb837196d4c477b4f1874b93822cd58bdd1c51b0c5195c0faf22ced2727c",

@@ -9,6 +9,7 @@ from wzw.fusion import (
     MAX_GENUS,
     MAX_INSERTIONS,
     CurveData,
+    _fusion_matrices,
     closed_form_dimension,
     closed_form_value,
     fusion_ring,
@@ -222,3 +223,18 @@ def test_matrix_route_matches_factorization_recursion(algebra, level):
             ws = tuple(rng.choice(ring.basis) for _ in range(rng.randint(0, 5 - genus)))
             want = _factorization_blocks(ring, genus, tuple(sorted(w.labels for w in ws)), memo)
             assert verlinde_dim(ring, CurveData(genus, ws)) == want, (genus, ws)
+
+
+@pytest.mark.parametrize("name,level", [("A1", 40), ("A2", 3), ("B3", 2)])
+def test_genus_one_vacuum_dimension_counts_primaries(name, level):
+    ring = fusion_ring(LieAlgebraId.from_string(name), level)
+    assert verlinde_dim(ring, CurveData(1, ())) == len(ring.basis)
+
+
+def test_handle_matrix_is_the_sum_of_n_mu_times_its_transpose():
+    # A2 at level 2 has nontrivial charge conjugation, so N_mu* != N_mu
+    ring = fusion_ring(LieAlgebraId("A", 2), 2)
+    n = [[[ring.coefficient(x, a, b) for b in ring.basis] for a in ring.basis] for x in ring.basis]
+    idx = range(len(ring.basis))
+    want = tuple(tuple(sum(m[a][c] * m[b][c] for m in n for c in idx) for b in idx) for a in idx)
+    assert _fusion_matrices(ring.algebra, ring.level)[1] == want

@@ -1,12 +1,14 @@
-"""The integer kernel of RootDatum against independent Fraction routes.
+"""The integer kernel of RootDatum against independent routes.
 
 Each test recomputes a quantity without the datum's integer Gram matrix,
-chamber fold or orbit walker (from the Fraction inverse Cartan matrix, the
-Fraction symmetrizer, or a hand-written fold taking a different reflection
-path) and compares.
+chamber fold, orbit walker or dominant-weight walk (from the Fraction inverse
+Cartan matrix, the Fraction symmetrizer, a hand-written fold taking a
+different reflection path, a walk over root coefficients instead of labels,
+or a filter over a full label box) and compares.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzw.characters import graded_module
-from wzw.lie import LieAlgebraId, build_root_datum, freudenthal_weights, weyl_dimension
+from wzw.lie import (
+    LieAlgebraId,
+    build_root_datum,
+    dominant_below,
+    freudenthal_weights,
+    level_weights,
+    weyl_dimension,
+)
 
 A1 = LieAlgebraId("A", 1)
 G2 = LieAlgebraId("G", 2)
@@ -140,3 +149,80 @@ def test_early_stopping_multiplicity_matches_full_fold(data):
     rep, shift = full_fold(d, x, level)
     expected = mod.multiplicity(rep, depth - shift) if shift <= depth else 0
     assert mod.multiplicity(x, depth) == expected
+
+
+def coefficient_box(d, lam):
+    """The box c <= A^{-1} lam that holds the root coefficients of every mu <= lam."""
+    return [sum(g * x for g, x in zip(row, lam)) // s for row, s in zip(d.gram, d.scaled_symmetrizer)]
+
+
+def box_walk(d, lam):
+    """(mu, c) with mu = lam - sum c_i alpha_i dominant and c in the coefficient box.
+
+    The walk sets c node by node over the box.  A branch stops once some
+    label can no longer end nonnegative: the later coefficients can raise
+    label j by at most slack[i][j], so each range starts where every rising
+    label can still make it and stops where label i cannot.  Sorted by
+    (sum c, mu).
+    """
+    n = d.rank
+    bounds = coefficient_box(d, lam)
+    cols = d.cartan_cols
+    slack = [
+        [sum(-bounds[k] * cols[k][j] for k in range(i + 1, n) if k != j) for j in range(n)]
+        for i in range(n)
+    ]
+    out = []
+
+    def rec(i, current, coeffs):
+        if i == n:
+            out.append((tuple(current), coeffs))
+            return
+        lo = max([0] + [-((x + s) // -y) for x, s, y in zip(current, slack[i], cols[i]) if y < 0])
+        for c in range(lo, bounds[i] + 1):
+            nxt = [x - c * y for x, y in zip(current, cols[i])]
+            if nxt[i] + slack[i][i] < 0:
+                break  # label i only falls as c grows
+            if all(x + s >= 0 for x, s in zip(nxt, slack[i])):
+                rec(i + 1, nxt, coeffs + (c,))
+
+    rec(0, list(lam), ())
+    return sorted(out, key=lambda mc: (sum(mc[1]), mc[0]))
+
+
+def test_box_walk_matches_unpruned_box():
+    d = build_root_datum(F4)
+    for lam in [(1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 1)]:
+        full = [
+            (tuple(x - sum(ci * col[j] for ci, col in zip(c, d.cartan_cols)) for j, x in enumerate(lam)), c)
+            for c in itertools.product(*(range(b + 1) for b in coefficient_box(d, lam)))
+        ]
+        dominant = sorted(((mu, c) for mu, c in full if min(mu) >= 0), key=lambda mc: (sum(mc[1]), mc[0]))
+        assert box_walk(d, lam) == dominant
+
+
+@pytest.mark.parametrize(
+    "algebra,top", [(G2, 3), (F4, 3), (E8, None)], ids=["G2", "F4", "E8-omega8"]
+)
+def test_dominant_below_matches_coefficient_box_walk(algebra, top):
+    d = build_root_datum(algebra)
+    weights = itertools.product(range(top + 1), repeat=d.rank) if top else [(0,) * 7 + (1,)]
+    for lam in weights:
+        assert dominant_below(d, lam, d.rho_norm(lam)) == box_walk(d, lam), lam
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_level_weights_match_label_box_filter(name):
+    d = build_root_datum(LieAlgebraId.from_string(name))
+    for level in range(5):
+        box = itertools.product(range(level + 1), repeat=d.rank)
+        expected = [lam for lam in box if sum(a * x for a, x in zip(d.comarks, lam)) <= level]
+        assert [w.labels for w in level_weights(d, level)] == expected
+
+
+def test_weight_just_over_the_box_bound_is_refused():
+    d = build_root_datum(F4)
+    lam = (3, 3, 3, 2)
+    assert 2_000_000 < math.prod(b + 1 for b in coefficient_box(d, lam)) < 2_100_000
+    with pytest.raises(ValueError, match="too large for exact enumeration"):
+        freudenthal_weights(d, d.weight(lam))

@@ -42,6 +42,22 @@ def test_stratum_count_matches_brute_force(g, n):
     assert len(boundary_strata(g, n)) == brute_force_strata(g, n)
 
 
+@pytest.mark.parametrize("g", range(5))
+def test_boundary_strata_are_the_canonical_indices(g):
+    for n in range(7):
+        if 2 * g - 2 + n <= 0:
+            continue
+        found = set()
+        for h in range(g + 1):
+            for k in range(n + 1):
+                for a in itertools.combinations(range(1, n + 1), k):
+                    try:
+                        found.add(reducible_index(g, n, h, a))
+                    except ValueError:
+                        pass  # an unstable side
+        reducible = sorted(found, key=lambda s: (s.h, s.markings))
+        assert boundary_strata(g, n) == ([IRR] if g >= 1 else []) + reducible, (g, n)
+
 def test_relation_size_cap():
     # every size the acceptance suite and the benchmark use, up to (g + 1) 2^n = 2048, is admitted
     for g, n in ((1, 10), (15, 7)):

@@ -71,3 +71,10 @@ def test_closed_form_never_calls_the_block_recursion():
     used = _names_used(_tree("fusion"), ["closed_form_dimension", "closed_form_value"])
     assert "_blocks" not in used and "verlinde_dim" not in used
     assert "_fusion_matrices" not in used
+
+
+def test_fusion_leaves_the_fold_to_the_kernel():
+    # wall tests and sign sums after a fold live only in lie.fold_sum
+    names = {n.id for n in ast.walk(_tree("fusion")) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(_tree("fusion")) if isinstance(n, ast.Attribute)}
+    assert "fold" not in names and "fold_sum" in names
