@@ -4,6 +4,9 @@ One subcommand per module; `--json` switches every subcommand to a single
 deterministic JSON document on stdout.  Exit status: 0 for success and for
 verification passes, 1 for a verification failure (including a broken
 internal invariant), 2 for a usage error, a cap or a gauge-move budget.
+
+Each subcommand imports the modules it uses inside its body, so one cold
+process loads only those (`mpmath` only for `s-matrix` and `verify-all`).
 """
 
 from __future__ import annotations
@@ -13,25 +16,6 @@ import json
 import re
 import sys
 
-import mpmath as mp
-
-from .acceptance import run_all
-from .characters import g2_f4_branching_claim, verify_branching
-from .correlator import (
-    PairingEnv,
-    ReductionBudgetExceeded,
-    case_cartan_insertion,
-    case_opposite_pair,
-    case_vacua,
-    parse_script,
-    reduce_state,
-)
-from .embeddings import embedding_catalogue, embedding_report
-from .fusion import MAX_INSERTIONS, CurveData, fusion_ring, verlinde_dim
-from .lie import InvariantError, LieAlgebraId, build_root_datum
-from .picard import emit_relation, relation_json_obj
-from .smatrix import default_precision, s_matrix
-
 _WEIGHT_RE = re.compile(r"^\[(-?\d+(?:,-?\d+)*)\](?:x(\d+))?$")
 
 
@@ -40,6 +24,8 @@ def _parse_weights(tokens, datum):
 
     The insertion count is checked against the cap before a token expands.
     """
+    from .fusion import MAX_INSERTIONS
+
     out = []
     for tok in tokens:
         m = _WEIGHT_RE.match(tok.replace(" ", ""))
@@ -66,6 +52,8 @@ def _emit(args, doc, human):
 
 
 def cmd_root_system(args):
+    from .lie import LieAlgebraId, build_root_datum
+
     d = build_root_datum(LieAlgebraId.from_string(args.algebra))
     doc = {
         "algebra": str(d.algebra),
@@ -92,6 +80,9 @@ def cmd_root_system(args):
 
 
 def cmd_fusion(args):
+    from .fusion import fusion_ring
+    from .lie import LieAlgebraId
+
     ring = fusion_ring(LieAlgebraId.from_string(args.algebra), args.level)
     table = []
     human = [f"fusion ring {ring.algebra} level {ring.level}, {len(ring.basis)} primaries"]
@@ -117,6 +108,9 @@ def cmd_fusion(args):
 
 
 def cmd_verlinde(args):
+    from .fusion import CurveData, fusion_ring, verlinde_dim
+    from .lie import LieAlgebraId, build_root_datum
+
     d = build_root_datum(LieAlgebraId.from_string(args.algebra))
     ring = fusion_ring(d.algebra, args.level)
     insertions = _parse_weights(args.weights or [], d)
@@ -134,6 +128,11 @@ def cmd_verlinde(args):
 
 
 def cmd_smatrix(args):
+    import mpmath as mp
+
+    from .lie import LieAlgebraId
+    from .smatrix import default_precision, s_matrix
+
     precision = args.precision if args.precision is not None else default_precision()
     sm = s_matrix(LieAlgebraId.from_string(args.algebra), args.level, precision)
     with mp.workdps(sm.precision):
@@ -171,6 +170,8 @@ def cmd_smatrix(args):
 
 
 def cmd_embedding(args):
+    from .embeddings import embedding_catalogue, embedding_report
+
     catalogue = embedding_catalogue()
     if args.action == "list":
         rows = [
@@ -209,6 +210,8 @@ def cmd_embedding(args):
 
 
 def cmd_branch_verify(args):
+    from .characters import g2_f4_branching_claim, verify_branching
+
     claim = g2_f4_branching_claim()
     report = verify_branching(claim, args.depth)
     rows = [
@@ -238,14 +241,17 @@ def cmd_branch_verify(args):
     return 0 if report.passed else 1
 
 
-_CASES = {
-    "I": case_vacua,
-    "II": case_opposite_pair,
-    "III": case_cartan_insertion,
-}
-
-
 def cmd_correlator(args):
+    from .correlator import (
+        PairingEnv,
+        ReductionBudgetExceeded,
+        case_cartan_insertion,
+        case_opposite_pair,
+        case_vacua,
+        parse_script,
+        reduce_state,
+    )
+
     if (args.case is None) == (args.script is None):
         raise ValueError("pass exactly one of --case or --script")
     if args.script is not None:
@@ -253,10 +259,14 @@ def cmd_correlator(args):
             state, env = parse_script(fh.read())
         source = {"script": args.script}
     else:
-        state = _CASES[args.case]()
+        cases = {"I": case_vacua, "II": case_opposite_pair, "III": case_cartan_insertion}
+        state = cases[args.case]()
         env = PairingEnv(level=args.level)
         source = {"case": args.case}
-    value = reduce_state(state, env)
+    try:
+        value = reduce_state(state, env)
+    except ReductionBudgetExceeded as exc:  # a usage error: main exits 2
+        raise ValueError(str(exc)) from None
     doc = dict(source)
     doc["level"] = env.level
     doc["value"] = str(value)
@@ -266,6 +276,8 @@ def cmd_correlator(args):
 
 
 def cmd_pic_relation(args):
+    from .picard import emit_relation, relation_json_obj
+
     rel = emit_relation(args.genus, args.markings)
     doc = relation_json_obj(rel)
     human = [
@@ -281,6 +293,8 @@ def cmd_pic_relation(args):
 
 
 def cmd_verify_all(args):
+    from .acceptance import run_all
+
     results = run_all()
     doc = {
         "criteria": [
@@ -356,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_branch_verify)
 
     p = sub.add_parser("correlator", help="reduce a three-point gauge correlator")
-    p.add_argument("--case", choices=tuple(_CASES), default=None)
+    p.add_argument("--case", choices=("I", "II", "III"), default=None)
     p.add_argument("--script", default=None, help="path to a correlator script file")
     p.add_argument("--level", type=int, default=1, help="level for --case mode")
     p.set_defaults(func=cmd_correlator)
@@ -376,10 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .lie import InvariantError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ReductionBudgetExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

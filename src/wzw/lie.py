@@ -581,14 +581,13 @@ def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
     for w in (lam, mu):
         if not w.is_dominant():
             raise ValueError(f"{w} is not dominant")
-    if weyl_dimension(d, mu) > weyl_dimension(d, lam):
+    dim_lam, dim_mu = weyl_dimension(d, lam), weyl_dimension(d, mu)
+    if dim_mu > dim_lam:
         lam, mu = mu, lam
     wts = _weight_system_cached(d.algebra, tuple(mu.labels))
     result = fold_sum(d, ((tuple(a + b for a, b in zip(lam.labels, nu)), m) for nu, m in wts.items()))
     # dimension bookkeeping must close
-    if sum(m * weyl_dimension(d, w) for w, m in result.items()) != weyl_dimension(
-        d, lam
-    ) * weyl_dimension(d, mu):
+    if sum(m * weyl_dimension(d, w) for w, m in result.items()) != dim_lam * dim_mu:
         raise InvariantError(f"{lam} x {mu}: constituent dimensions do not add up")
     return result
 

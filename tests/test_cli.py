@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wzw import cli, correlator
+from wzw import acceptance, cli, correlator, fusion
 from wzw.acceptance import CriterionResult
 from wzw.fusion import MAX_GENUS, MAX_INSERTIONS, closed_form_value
 from wzw.lie import InvariantError
@@ -224,7 +224,7 @@ def test_verlinde_too_long_to_print_exits_two(capsys):
 
 
 def test_correlator_budget_overrun_exits_two(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "reduce_state", functools.partial(correlator.reduce_state, budget=1))
+    monkeypatch.setattr(correlator, "reduce_state", functools.partial(correlator.reduce_state, budget=1))
     script = tmp_path / "s.txt"
     script.write_text("level 2\nslot1: H(-1) H(-1)\nslot2: X+a(-1) X+a(-1)\nslot3: X-a(-1) X-a(-1)\n")
     code, out, err = run(capsys, "correlator", "--script", str(script))
@@ -355,11 +355,31 @@ def test_optimized_interpreter_gives_identical_stdout(argv):
     assert outputs[0] == outputs[1] and outputs[0]
 
 
+def _loaded_after(code):
+    """Module names from `names` in sys.modules after running code in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    probe = code + "\nimport json, sys\nprint(json.dumps([n for n in names if n in sys.modules]))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, check=True, env=env, text=True
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    heavy = ["mpmath", "wzw.smatrix", "wzw.correlator", "wzw.characters", "wzw.acceptance"]
+    assert _loaded_after(f"names = {heavy}\nimport wzw.cli") == []
+
+
+def test_root_system_does_not_load_mpmath():
+    code = 'names = ["mpmath"]\nfrom wzw import cli\ncli.main(["root-system", "--algebra", "G2", "--json"])'
+    assert _loaded_after(code) == []
+
+
 def test_broken_invariant_exits_one_with_one_line(capsys, monkeypatch):
     def broken(ring, curve):
         raise InvariantError("planted failure")
 
-    monkeypatch.setattr(cli, "verlinde_dim", broken)
+    monkeypatch.setattr(fusion, "verlinde_dim", broken)
     code, out, err = run(capsys, "verlinde", "--algebra", "G2", "--level", "1", "--genus", "2")
     assert code == 1
     assert out == ""
@@ -371,7 +391,7 @@ def test_verify_all_reports_each_criterion(capsys, monkeypatch):
         CriterionResult(1, "alpha", True, "fine"),
         CriterionResult(2, "beta", True, "fine"),
     ]
-    monkeypatch.setattr(cli, "run_all", lambda: fake)
+    monkeypatch.setattr(acceptance, "run_all", lambda: fake)
     code, out, _ = run(capsys, "verify-all")
     assert code == 0
     assert out.count("PASS") == 2
@@ -383,7 +403,7 @@ def test_verify_all_exit_one_on_failure(capsys, monkeypatch):
         CriterionResult(1, "alpha", True, "fine"),
         CriterionResult(2, "beta", False, "broken"),
     ]
-    monkeypatch.setattr(cli, "run_all", lambda: fake)
+    monkeypatch.setattr(acceptance, "run_all", lambda: fake)
     code, out, _ = run(capsys, "verify-all", "--json")
     assert code == 1
     doc = json.loads(out)

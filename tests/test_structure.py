@@ -78,3 +78,17 @@ def test_fusion_leaves_the_fold_to_the_kernel():
     names = {n.id for n in ast.walk(_tree("fusion")) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(_tree("fusion")) if isinstance(n, ast.Attribute)}
     assert "fold" not in names and "fold_sum" in names
+
+
+def test_cli_and_package_import_heavy_modules_lazily():
+    # module-level imports of these would load them in every cold CLI process
+    lazy = {"smatrix", "correlator", "characters", "embeddings", "picard", "acceptance"}
+    for module in ("cli", "__init__"):
+        for node in _tree(module).body:
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "mpmath" for a in node.names), module
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "mpmath", module
+                if node.level > 0:
+                    names = {node.module} if node.module else {a.name for a in node.names}
+                    assert not names & lazy, (module, node.lineno)
