@@ -17,7 +17,12 @@ import importlib
 
 __version__ = "0.1.0"
 
-# exported names, grouped by the submodule that defines them
+
+class InvariantError(ArithmeticError):  # here, not in lie, so cli catches it without loading lie
+    """A mathematical invariant of an exact computation failed: a bug, never bad input."""
+
+
+# exported names, grouped by the submodule that defines (or re-exports) them
 _EXPORTS = {
     "qsqrt5": ("GOLDEN", "QSqrt5"),
     "lie": (

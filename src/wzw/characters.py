@@ -29,7 +29,8 @@ class GradedModule:
     dominant weights below highest + k*theta in the norm ball that the
     affine Freudenthal denominator allows (lie.dominant_below), processed by
     increasing height of highest + k*theta - nu, so every same-depth lookup
-    lands on an entry that already exists.
+    lands on an entry that already exists.  A finished row also fixes its
+    graded dimension (multiplicities times Weyl-orbit sizes), which queries read.
     """
 
     def __init__(self, algebra: LieAlgebraId, level: int, highest: Weight):
@@ -50,7 +51,7 @@ class GradedModule:
         self._kappa = level + d.dual_coxeter
         self._top_norm = d.rho_norm(self.highest)
         self._mult = {(self.highest, 0): 1}
-        self._candidate_rows: list = []
+        self._dims: list = []  # graded dimension of each finished depth
         self._done = -1
 
     # -- candidate enumeration -------------------------------------------------
@@ -126,27 +127,19 @@ class GradedModule:
     def _extend(self, depth):
         for k in range(self._done + 1, depth + 1):
             cands = self._candidates(k)
-            self._candidate_rows.append(cands)
             for nu in cands:
                 if k == 0 and nu == self.highest:
                     continue  # seeded; its norm difference is zero
                 if self.datum.level_of(nu) > self.level:
                     continue  # reached through the reflection chain instead
                 self._mult[(nu, k)] = self._freudenthal(nu, k)
+            self._dims.append(sum(self.multiplicity(nu, k) * self.datum.orbit_size(nu) for nu in cands))
             self._done = k
 
     def graded_dims(self, depth: int) -> tuple:
         """Dimensions of the depth-0 .. depth weight spaces."""
         self._extend(depth)
-        out = []
-        for k in range(depth + 1):
-            total = 0
-            for nu in self._candidate_rows[k]:
-                m = self.multiplicity(nu, k)
-                if m:
-                    total += m * self.datum.orbit_size(nu)
-            out.append(total)
-        return tuple(out)
+        return tuple(self._dims[: depth + 1])
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,8 @@ import json
 import re
 import sys
 
+from . import InvariantError
+
 _WEIGHT_RE = re.compile(r"^\[(-?\d+(?:,-?\d+)*)\](?:x(\d+))?$")
 
 
@@ -390,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .lie import InvariantError
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -33,15 +33,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from . import InvariantError  # defined in the package so cli can catch it without this module
+
 Labels = tuple  # Dynkin labels, ints
 RootCoords = tuple  # integer coordinates in the simple-root basis
 
 _SERIES = ("A", "B", "C", "D", "E", "F", "G")
 _FOLD_GUARD = 10_000  # reflections allowed in one chamber fold
-
-
-class InvariantError(ArithmeticError):
-    """A mathematical invariant of an exact computation failed: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -160,18 +158,18 @@ def _invert(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-_WEYL_ORDER = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(f"{what} is not an integer: {num}/{den}")
+    return q
 
 
-def _weyl_order(series: str, rank: int) -> int:
-    n = rank
-    if series == "A":
-        return math.factorial(n + 1)
-    if series in ("B", "C"):
-        return 2**n * math.factorial(n)
-    if series == "D":
-        return 2 ** (n - 1) * math.factorial(n)
-    return _WEYL_ORDER[f"{series}{n}"]
+def _parabolic_order(roots, nodes) -> int:
+    """|W_J| = prod (ht beta + 1) / ht beta over the positive roots beta supported
+    on the nodes J (Macdonald, Math. Ann. 199, 1972)."""
+    heights = [sum(beta) for beta in roots if all(i in nodes for i, b in enumerate(beta) if b)]
+    return _exact_quotient(math.prod(h + 1 for h in heights), math.prod(heights), f"|W_J| on {nodes}")
 
 
 @dataclass(frozen=True)
@@ -333,19 +331,13 @@ class RootDatum:
         return seen
 
     def orbit_size(self, dominant_labels: Labels) -> int:
-        return _orbit_size(self.algebra, tuple(dominant_labels))
-
-
-@lru_cache(maxsize=None)
-def _orbit_size(algebra: LieAlgebraId, labels: Labels) -> int:
-    return len(build_root_datum(algebra).weyl_orbit(labels))
+        """|W x| = |W| / |W_J| for dominant x, with J the nodes where x has a zero label."""
+        zeros = {i for i, a in enumerate(dominant_labels) if a == 0}
+        return _exact_quotient(self.weyl_order, _parabolic_order(self.positive_roots, zeros), "|W| / |W_J|")
 
 
 def _integral(values, what: str) -> tuple:
-    values = tuple(values)
-    if any(v.denominator != 1 for v in values):
-        raise InvariantError(f"{what} {values} are not integral")
-    return tuple(int(v) for v in values)
+    return tuple(_exact_quotient(v.numerator, v.denominator, what) for v in values)
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +381,7 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
         comarks=comarks,
         dual_coxeter=1 + sum(comarks),
         form=form,
-        weyl_order=_weyl_order(series, n),
+        weyl_order=_parabolic_order(roots, range(n)),
         denominator=denom,
         gram=tuple(tuple(int(x * denom) for x in row) for row in form),
         scaled_symmetrizer=scaled_sym,
@@ -442,10 +434,7 @@ def weyl_dimension(d: RootDatum, lam: Weight) -> int:
         raise ValueError(f"{lam} is not dominant")
     shifted = tuple(x + 1 for x in lam.labels)
     num = math.prod(d.scaled_ip_root(shifted, beta) for beta in d.positive_roots)
-    dim, rem = divmod(num, d.rho_product)
-    if rem:
-        raise InvariantError(f"Weyl dimension of {lam} is not an integer")
-    return dim
+    return _exact_quotient(num, d.rho_product, f"Weyl dimension of {lam}")
 
 
 def dominant_weights(d: RootDatum, cost, bound) -> list:
@@ -512,9 +501,7 @@ def _dominant_multiplicities(d: RootDatum, lam: Labels) -> dict:
                 m2 = mult.get(d.dominant(nu))
                 if m2:
                     rhs += m2 * d.scaled_ip_root(nu, beta)
-        value, rem = divmod(2 * rhs, norm_top - d.rho_norm(mu))
-        if rem:
-            raise InvariantError(f"Freudenthal multiplicity of {mu} in {lam} is not an integer")
+        value = _exact_quotient(2 * rhs, norm_top - d.rho_norm(mu), f"multiplicity of {mu} in {lam}")
         if value:
             mult[mu] = value
     return mult
@@ -531,7 +518,7 @@ class WeightSystem:
 
 
 @lru_cache(maxsize=None)
-def _weight_system_cached(algebra: LieAlgebraId, lam: Labels):
+def weight_system_cached(algebra: LieAlgebraId, lam: Labels):
     d = build_root_datum(algebra)
     full = {}
     for mu, m in _dominant_multiplicities(d, lam).items():
@@ -544,7 +531,7 @@ def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:
     _check_same_algebra(d, lam)
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not dominant")
-    full = _weight_system_cached(d.algebra, tuple(lam.labels))
+    full = weight_system_cached(d.algebra, tuple(lam.labels))
     ws = WeightSystem(lam, {d.weight(k): v for k, v in full.items()})
     if ws.dimension != weyl_dimension(d, lam):
         raise InvariantError(f"weight system of {lam} misses the Weyl dimension")
@@ -584,7 +571,7 @@ def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
     dim_lam, dim_mu = weyl_dimension(d, lam), weyl_dimension(d, mu)
     if dim_mu > dim_lam:
         lam, mu = mu, lam
-    wts = _weight_system_cached(d.algebra, tuple(mu.labels))
+    wts = weight_system_cached(d.algebra, tuple(mu.labels))
     result = fold_sum(d, ((tuple(a + b for a, b in zip(lam.labels, nu)), m) for nu, m in wts.items()))
     # dimension bookkeeping must close
     if sum(m * weyl_dimension(d, w) for w, m in result.items()) != dim_lam * dim_mu:

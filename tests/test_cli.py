@@ -375,6 +375,11 @@ def test_root_system_does_not_load_mpmath():
     assert _loaded_after(code) == []
 
 
+def test_correlator_does_not_load_the_lie_kernel():
+    code = 'names = ["wzw.lie"]\nfrom wzw import cli\ncli.main(["correlator", "--case", "I", "--json"])'
+    assert _loaded_after(code) == []
+
+
 def test_broken_invariant_exits_one_with_one_line(capsys, monkeypatch):
     def broken(ring, curve):
         raise InvariantError("planted failure")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wzw import fusion
 from wzw.fusion import (
     MAX_GENUS,
     MAX_INSERTIONS,
@@ -16,7 +17,7 @@ from wzw.fusion import (
     propagation_check,
     verlinde_dim,
 )
-from wzw.lie import LieAlgebraId, build_root_datum
+from wzw.lie import InvariantError, LieAlgebraId, build_root_datum, fold_sum, tensor_decompose
 from wzw.qsqrt5 import GOLDEN
 
 G2 = LieAlgebraId("G", 2)
@@ -238,3 +239,41 @@ def test_handle_matrix_is_the_sum_of_n_mu_times_its_transpose():
     idx = range(len(ring.basis))
     want = tuple(tuple(sum(m[a][c] * m[b][c] for m in n for c in idx) for b in idx) for a in idx)
     assert _fusion_matrices(ring.algebra, ring.level)[1] == want
+
+
+@pytest.mark.parametrize(
+    "name,level",
+    [("G2", 1), ("G2", 2), ("G2", 3), ("F4", 1), ("F4", 2), ("F4", 3), ("A1", 40), ("A2", 6),
+     ("B3", 2), ("C3", 2), ("D4", 2), ("E6", 1), ("E7", 1), ("E8", 1)],
+)
+def test_one_alcove_fold_matches_tensor_product_then_fold(name, level):
+    # the two-fold route: classical Racah-Speiser product, then each constituent folded at kappa
+    ring = fusion_ring(LieAlgebraId.from_string(name), level)
+    d = ring.datum
+    kappa = level + d.dual_coxeter
+    for i, x in enumerate(ring.basis):
+        for y in ring.basis[i:]:
+            two_fold = fold_sum(d, ((w.labels, m) for w, m in tensor_decompose(d, x, y).items()), kappa)
+            assert list(ring.product(x, y).items()) == list(two_fold.items()), (x, y)
+
+
+def test_planted_asymmetry_in_the_table_raises(monkeypatch):
+    # N_tau,tau^vac sits in an S3 orbit of three table entries, so raising it alone
+    # breaks N_xy^z = N_xz*^y*
+    real = fusion._kac_walton
+    ring = fusion_ring(G2, 1)
+    vac, tau = ring.basis
+
+    def planted(algebra, level, x, y):
+        out = dict(real(algebra, level, x, y))
+        if (algebra, x, y) == (G2, tau.labels, tau.labels):
+            out[vac] += 1
+        return out
+
+    _fusion_matrices.cache_clear()
+    monkeypatch.setattr(fusion, "_kac_walton", planted)
+    try:
+        with pytest.raises(InvariantError):
+            verlinde_dim(ring, CurveData(1, ()))
+    finally:
+        _fusion_matrices.cache_clear()

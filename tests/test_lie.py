@@ -1,5 +1,7 @@
 """Root systems, Weyl actions and weight multiplicities."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,40 @@ def test_orbit_size_divides_weyl_order(algebra):
         size = d.orbit_size(w.labels)
         assert d.weyl_order % size == 0
     assert d.orbit_size((0,) * d.rank) == 1
+
+
+TEXTBOOK_WEYL_ORDERS = (
+    [(f"A{n}", math.factorial(n + 1)) for n in range(1, 9)]
+    + [(f"{s}{n}", 2**n * math.factorial(n)) for s in "BC" for n in range(2, 9)]
+    + [(f"D{n}", 2 ** (n - 1) * math.factorial(n)) for n in range(3, 9)]
+    + [("E6", 51840), ("E7", 2903040), ("E8", 696729600), ("F4", 1152), ("G2", 12)]
+)
+
+
+@pytest.mark.parametrize("name,order", TEXTBOOK_WEYL_ORDERS)
+def test_weyl_order_from_heights_matches_the_textbook(name, order):
+    assert build_root_datum(LieAlgebraId.from_string(name)).weyl_order == order
+
+
+# supports whose orbit has at most 5,000 points, walked per algebra
+WALKED_SUPPORTS = {
+    "A1": 2, "A4": 16, "A7": 89, "B3": 8, "B5": 32, "C4": 16, "D4": 16, "D5": 32,
+    "D6": 47, "G2": 4, "F4": 16, "E6": 37, "E7": 12, "E8": 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKED_SUPPORTS))
+def test_orbit_size_formula_matches_the_orbit_walk(name):
+    # orbit size depends only on which labels are nonzero; label 1 on each support
+    d = build_root_datum(LieAlgebraId.from_string(name))
+    walked = 0
+    for labels in itertools.product((0, 1), repeat=d.rank):
+        size = d.orbit_size(labels)
+        assert d.weyl_order % size == 0
+        if size <= 5000:
+            assert len(d.weyl_orbit(labels)) == size, labels
+            walked += 1
+    assert walked == WALKED_SUPPORTS[name]
 
 
 small_labels = st.tuples(st.integers(0, 2), st.integers(0, 2))

@@ -74,10 +74,14 @@ def test_closed_form_never_calls_the_block_recursion():
 
 
 def test_fusion_leaves_the_fold_to_the_kernel():
-    # wall tests and sign sums after a fold live only in lie.fold_sum
-    names = {n.id for n in ast.walk(_tree("fusion")) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(_tree("fusion")) if isinstance(n, ast.Attribute)}
+    # wall tests and sign sums after a fold live only in lie.fold_sum, and a fusion
+    # product is one alcove fold, with no classical tensor product on the way
+    tree = _tree("fusion")
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert "fold" not in names and "fold_sum" in names
+    assert "tensor_decompose" not in names
 
 
 def test_cli_and_package_import_heavy_modules_lazily():
