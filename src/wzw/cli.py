@@ -133,10 +133,9 @@ def cmd_smatrix(args):
     import mpmath as mp
 
     from .lie import LieAlgebraId
-    from .smatrix import default_precision, s_matrix
+    from .smatrix import s_matrix
 
-    precision = args.precision if args.precision is not None else default_precision()
-    sm = s_matrix(LieAlgebraId.from_string(args.algebra), args.level, precision)
+    sm = s_matrix(LieAlgebraId.from_string(args.algebra), args.level, args.precision)
     with mp.workdps(sm.precision):
         digits = min(sm.precision, 20)
         entries = [

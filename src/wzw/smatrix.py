@@ -1,37 +1,61 @@
-"""Numeric modular S-matrix via the Kac-Peterson sum.
+"""Modular S-matrix via the Kac-Peterson sum, counted exactly.
 
 This is the deliberately independent route: nothing here touches the fusion
-ring code.  The full-matrix path enumerates the Weyl orbit of each shifted
-weight with signs (never materialising group elements), so it is only offered
-when |W| is small; E8 is served by the positive-root sine-product column,
-which is all that a one-dimensional level-one theory needs.
+ring code.  Each Kac-Peterson entry (Kac, Infinite-dimensional Lie algebras,
+ch. 13) is a signed sum of N-th roots of unity, N = D (level + h^vee), so it
+is an exact element of Z[zeta_N].  kac_peterson_counts finds it with integers
+only: for each lambda it walks the Weyl orbit of lambda + rho once (with
+signs, never materialising group elements) and, for each mu, adds det(w) at
+the residue -D (w(lambda + rho), mu + rho) mod N.  S is symmetric exactly,
+and the counts are checked to be.  s_matrix then evaluates the N roots once
+with guard digits, sums each entry over its nonzero counts, normalises and
+rounds to the working precision.
+
+The orbit walk is only offered when |W| is small and the work is under a cap;
+E8 is served by the positive-root sine-product column, which is all that a
+one-dimensional level-one theory needs.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath as mp
 
 from .lie import InvariantError, LieAlgebraId, build_root_datum, level_weights
 
 FULL_PATH_WEYL_LIMIT = 100_000
+# matrix_work units (about a microsecond each); at the cap the s-matrix
+# subcommand takes about 3 s
+MAX_MATRIX_WORK = 3_000_000
 PRECISION_ENV = "WZW_PRECISION"
 DEFAULT_PRECISION = 50
+MIN_PRECISION, MAX_PRECISION = 15, 200  # decimal digits, for the flag and the env variable alike
+GUARD_DIGITS = 10
+
+
+def _checked_precision(value: int, source: str = "precision") -> int:
+    if not MIN_PRECISION <= value <= MAX_PRECISION:
+        raise ValueError(f"{source} must be between {MIN_PRECISION} and {MAX_PRECISION} digits, got {value}")
+    return value
 
 
 def default_precision() -> int:
     raw = os.environ.get(PRECISION_ENV, "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
-        if value < 15:
-            raise ValueError(f"{PRECISION_ENV} must be at least 15")
-        return value
-    return DEFAULT_PRECISION
+    if not raw.strip():
+        return DEFAULT_PRECISION
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV} must be an integer, got {raw!r}") from None
+    return _checked_precision(value, PRECISION_ENV)
+
+
+def _precision(precision) -> int:
+    return default_precision() if precision is None else _checked_precision(precision)
 
 
 @dataclass
@@ -43,16 +67,14 @@ class SMatrix:
     precision: int
 
     def unitarity_residual(self):
-        n = len(self.basis)
+        """max |(S S^dagger - 1)_ij|, over i <= j since S S^dagger is Hermitian."""
         with mp.workdps(self.precision):
-            worst = mp.mpf(0)
-            for i in range(n):
-                for j in range(n):
-                    acc = mp.mpc(0)
-                    for k in range(n):
-                        acc += self.entries[i][k] * mp.conj(self.entries[j][k])
-                    worst = max(worst, abs(acc - (1 if i == j else 0)))
-        return worst
+            conj = [[mp.conj(z) for z in row] for row in self.entries]
+            return max(
+                abs(mp.fdot(row, conj[j]) - (i == j))
+                for i, row in enumerate(self.entries)
+                for j in range(i, len(conj))
+            )
 
     def quantum_dimension(self, index: int):
         with mp.workdps(self.precision):
@@ -72,43 +94,75 @@ class SMatrix:
             return acc
 
 
-def s_matrix(algebra: LieAlgebraId, level: int, precision: int | None = None) -> SMatrix:
-    """Full Kac-Peterson S-matrix, normalised to be unitary with S[0][0] > 0."""
+def matrix_work(d, n: int, big_n: int) -> int:
+    """Work of the full matrix for n primaries: n orbit walks of |W| points, each
+    point costing about rank + n, n^2 lists of N residue counts, and about 4n^3
+    for the unitarity check."""
+    return n * (d.weyl_order * (d.rank + n) + n * big_n + 4 * n * n)
+
+
+def primaries_at_least(d, level: int) -> int:
+    """A lower bound on the number of level weights, found without listing them:
+    labels summing to at most level // max(comarks) have level at most level."""
+    return math.comb(max(level, 0) // max(d.comarks) + d.rank, d.rank)
+
+
+def kac_peterson_counts(algebra: LieAlgebraId, level: int):
+    """(basis, N, counts): counts[i][j][r] is the signed number of orbit points
+    w(lambda_i + rho) with -D (w(lambda_i + rho), lambda_j + rho) = r mod N, so
+    the raw entry (i, j) is sum_r counts[i][j][r] zeta_N^r, zeta_N = e^(2 pi i/N)."""
     d = build_root_datum(algebra)
     if d.weyl_order > FULL_PATH_WEYL_LIMIT:
         raise ValueError(
             f"|W({algebra})| = {d.weyl_order} exceeds the full-matrix limit "
             f"{FULL_PATH_WEYL_LIMIT}; use s_matrix_column for vacuum-row data"
         )
-    if precision is None:
-        precision = default_precision()
+    big_n = (level + d.dual_coxeter) * d.denominator  # (x, y)/kappa = scaled_ip/N
+
+    def check_work(n, qualifier=""):
+        work = matrix_work(d, n, big_n)
+        if work > MAX_MATRIX_WORK:
+            raise ValueError(f"{algebra} level {level}: S-matrix work {qualifier}{work}, over the cap {MAX_MATRIX_WORK}")
+
+    check_work(primaries_at_least(d, level), "is at least ")  # a level far over the cap is refused unlisted
     basis = level_weights(d, level)
-    denom = (level + d.dual_coxeter) * d.denominator  # (x, y)/kappa = scaled_ip/denom
-    with mp.workdps(precision):
-        rows = []
-        for lam in basis:
-            shifted = tuple(x + 1 for x in lam.labels)
-            if min(shifted) <= 0:
-                raise InvariantError(f"{lam} + rho is not strictly dominant")
-            orbit = d.weyl_orbit(shifted)  # regular, so the signs are det(w)
-            if len(orbit) != d.weyl_order:
-                raise InvariantError(f"orbit of {lam} + rho has {len(orbit)} points, not |W|")
-            row = []
-            for mu in basis:
-                mu_rho = tuple(x + 1 for x in mu.labels)
-                g_mu = [sum(g * y for g, y in zip(row_g, mu_rho)) for row_g in d.gram]
-                acc = mp.mpc(0)
-                for point, sign in orbit.items():
-                    q = -2 * sum(p * g for p, g in zip(point, g_mu))
-                    acc += sign * mp.expjpi(mp.mpf(q) / denom)
-                row.append(acc)
-            rows.append(row)
+    check_work(len(basis))
+    shifted = [tuple(x + 1 for x in lam.labels) for lam in basis]
+    g_rho = [tuple(sum(g * y for g, y in zip(row, mu_rho)) for row in d.gram) for mu_rho in shifted]
+    counts = []
+    for lam, lam_rho in zip(basis, shifted):
+        if min(lam_rho) <= 0:
+            raise InvariantError(f"{lam} + rho is not strictly dominant")
+        orbit = d.weyl_orbit(lam_rho)  # regular, so the signs are det(w)
+        if len(orbit) != d.weyl_order:
+            raise InvariantError(f"orbit of {lam} + rho has {len(orbit)} points, not |W|")
+        row = [[0] * big_n for _ in basis]
+        for point, sign in orbit.items():
+            for cnt, g in zip(row, g_rho):
+                cnt[-sum(map(mul, point, g)) % big_n] += sign
+        counts.append(row)
+    for i in range(len(basis)):
+        for j in range(i):
+            if counts[i][j] != counts[j][i]:
+                raise InvariantError(f"{algebra} level {level}: Kac-Peterson counts break S_ij = S_ji at ({i}, {j})")
+    return tuple(basis), big_n, counts
+
+
+def s_matrix(algebra: LieAlgebraId, level: int, precision: int | None = None) -> SMatrix:
+    """Full Kac-Peterson S-matrix, normalised to be unitary with S[0][0] > 0."""
+    precision = _precision(precision)
+    basis, big_n, counts = kac_peterson_counts(algebra, level)
+    with mp.workdps(precision + GUARD_DIGITS):
+        roots = [mp.expjpi(mp.mpf(2 * r) / big_n) for r in range(big_n)]
+        rows = [[mp.fsum(c * roots[r] for r, c in enumerate(cnt) if c) for cnt in row] for row in counts]
         # normalise: rows of the raw sum are the unitary S up to one global scalar
         scale = mp.sqrt(sum(abs(x) ** 2 for x in rows[0]))
         phase = rows[0][0] / abs(rows[0][0])
         factor = 1 / (scale * phase)
         rows = [[x * factor for x in row] for row in rows]
-    return SMatrix(algebra, level, tuple(basis), rows, precision)
+    with mp.workdps(precision):
+        rows = [[+x for x in row] for row in rows]
+    return SMatrix(algebra, level, basis, rows, precision)
 
 
 def s_matrix_column(algebra: LieAlgebraId, level: int, precision: int | None = None):
@@ -117,8 +171,7 @@ def s_matrix_column(algebra: LieAlgebraId, level: int, precision: int | None = N
     Works for any Weyl-group size; returned as a unit vector of positive reals.
     """
     d = build_root_datum(algebra)
-    if precision is None:
-        precision = default_precision()
+    precision = _precision(precision)
     basis = level_weights(d, level)
     denom = (level + d.dual_coxeter) * d.denominator
     with mp.workdps(precision):
@@ -137,8 +190,7 @@ def s_matrix_column(algebra: LieAlgebraId, level: int, precision: int | None = N
 def quantum_dimension(algebra: LieAlgebraId, level: int, labels, precision: int | None = None):
     """S_{0,lambda}/S_{0,0} as a sine-product ratio."""
     d = build_root_datum(algebra)
-    if precision is None:
-        precision = default_precision()
+    precision = _precision(precision)
     denom = (level + d.dual_coxeter) * d.denominator
     shifted = tuple(x + 1 for x in labels)
     with mp.workdps(precision):

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from wzw import acceptance, cli, correlator, fusion
+from wzw import acceptance, cli, correlator, fusion, smatrix
 from wzw.acceptance import CriterionResult
 from wzw.fusion import MAX_GENUS, MAX_INSERTIONS, closed_form_value
-from wzw.lie import InvariantError
+from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
 
 
 def run(capsys, *argv):
@@ -106,6 +106,44 @@ def test_smatrix_env_precision(capsys, monkeypatch):
     monkeypatch.setenv("WZW_PRECISION", "25")
     code, out, _ = run(capsys, "s-matrix", "--algebra", "G2", "--level", "1", "--json")
     assert json.loads(out)["precision"] == 25
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1", "14", str(smatrix.MAX_PRECISION + 1), "200000"])
+def test_smatrix_precision_out_of_range_exits_two(capsys, monkeypatch, value):
+    code, out, err = run(capsys, "s-matrix", "--algebra", "G2", "--level", "1", "--precision", value)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: precision must be between")
+    monkeypatch.setenv("WZW_PRECISION", value)
+    code, out, err = run(capsys, "s-matrix", "--algebra", "G2", "--level", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: WZW_PRECISION must be between")
+
+
+def test_smatrix_precision_bounds_answer(capsys):
+    for value in (smatrix.MIN_PRECISION, smatrix.MAX_PRECISION):
+        code, out, _ = run(capsys, "s-matrix", "--algebra", "G2", "--level", "1", "--precision", str(value), "--json")
+        assert code == 0 and json.loads(out)["precision"] == value
+
+
+def test_smatrix_work_cap(capsys, monkeypatch):
+    d = build_root_datum(LieAlgebraId("G", 2))
+    work = smatrix.matrix_work(d, 4, (2 + d.dual_coxeter) * d.denominator)  # level 2: 4 primaries
+    monkeypatch.setattr(smatrix, "MAX_MATRIX_WORK", work)
+    code, out, _ = run(capsys, "s-matrix", "--algebra", "G2", "--level", "2", "--json")
+    assert code == 0 and len(json.loads(out)["basis"]) == 4
+    monkeypatch.setattr(smatrix, "MAX_MATRIX_WORK", work - 1)
+    code, out, err = run(capsys, "s-matrix", "--algebra", "G2", "--level", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+
+
+@pytest.mark.parametrize("level", ["12", "1000000"])
+def test_smatrix_refuses_above_the_cap_fast(capsys, level):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "s-matrix", "--algebra", "F4", "--level", level)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
 
 
 def test_embedding_list_and_check(capsys):

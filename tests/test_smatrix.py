@@ -2,17 +2,24 @@
 
 import itertools
 import random
+import time
 
 import mpmath as mp
 import pytest
 
+from wzw import smatrix
 from wzw.fusion import CurveData, fusion_ring, verlinde_dim
-from wzw.lie import LieAlgebraId
+from wzw.lie import LieAlgebraId, build_root_datum, level_weights
 from wzw.smatrix import (
     DEFAULT_PRECISION,
     FULL_PATH_WEYL_LIMIT,
+    MAX_MATRIX_WORK,
+    MAX_PRECISION,
+    MIN_PRECISION,
     PRECISION_ENV,
     default_precision,
+    matrix_work,
+    primaries_at_least,
     quantum_dimension,
     s_matrix,
     s_matrix_column,
@@ -137,3 +144,63 @@ def test_precision_env(monkeypatch):
 
 def test_weyl_limit_constant():
     assert FULL_PATH_WEYL_LIMIT == 100_000
+
+
+@pytest.mark.parametrize("bad", [MIN_PRECISION - 1, MAX_PRECISION + 1, 0, -3, 1, 200_000])
+def test_one_precision_check_for_argument_and_env(monkeypatch, bad):
+    monkeypatch.delenv(PRECISION_ENV, raising=False)
+    for call in (
+        lambda p: s_matrix(G2, 1, p),
+        lambda p: s_matrix_column(G2, 1, p),
+        lambda p: quantum_dimension(G2, 1, (1, 0), p),
+    ):
+        with pytest.raises(ValueError, match=f"precision must be between {MIN_PRECISION} and {MAX_PRECISION}"):
+            call(bad)
+    monkeypatch.setenv(PRECISION_ENV, str(bad))
+    with pytest.raises(ValueError, match=f"{PRECISION_ENV} must be between"):
+        s_matrix(G2, 1)
+
+
+def test_precision_bounds_are_admitted(monkeypatch):
+    for good in (MIN_PRECISION, MAX_PRECISION):
+        assert s_matrix(G2, 1, good).precision == good
+        monkeypatch.setenv(PRECISION_ENV, str(good))
+        assert default_precision() == good
+
+
+def test_work_cap_admits_the_cap_and_refuses_one_more(monkeypatch):
+    d = build_root_datum(G2)
+    work = matrix_work(d, 4, (2 + d.dual_coxeter) * d.denominator)  # level 2: 4 primaries
+    monkeypatch.setattr(smatrix, "MAX_MATRIX_WORK", work)
+    assert len(s_matrix(G2, 2).basis) == 4
+    monkeypatch.setattr(smatrix, "MAX_MATRIX_WORK", work - 1)
+    with pytest.raises(ValueError, match=f"G2 level 2: S-matrix work {work}, over the cap {work - 1}"):
+        s_matrix(G2, 2)
+
+
+def _work_at(d, level):
+    n = len(level_weights(d, level))
+    return matrix_work(d, n, (level + d.dual_coxeter) * d.denominator)
+
+
+def test_largest_admitted_levels():
+    # at the cap the subcommand takes about 3 s: G2 level 16 (81 primaries) and
+    # F4 level 6 (39 primaries) are the largest admitted
+    for algebra, top in ((G2, 16), (F4, 6)):
+        d = build_root_datum(algebra)
+        assert _work_at(d, top) <= MAX_MATRIX_WORK < _work_at(d, top + 1)
+
+
+def test_primary_count_bound_never_exceeds_the_count():
+    for name in ("A1", "A3", "B3", "C4", "D4", "E6", "F4", "G2"):
+        d = build_root_datum(LieAlgebraId.from_string(name))
+        for level in range(10):
+            assert primaries_at_least(d, level) <= len(level_weights(d, level)), (name, level)
+
+
+def test_far_over_the_cap_is_refused_before_listing_weights():
+    start = time.perf_counter()
+    for algebra in (G2, F4):
+        with pytest.raises(ValueError, match="is at least"):
+            s_matrix(algebra, 10**6)
+    assert time.perf_counter() - start < 1

@@ -1,0 +1,228 @@
+"""Exact oracles on the Kac-Peterson counts.
+
+Row i, column j of the counts is an element sum_r c_r zeta_N^r of Z[zeta_N],
+kept as the integer list (c_0, ..., c_{N-1}).  Products are taken mod
+x^N - 1 and compared mod the cyclotomic polynomial Phi_N, which is built here
+by exact division, so every check below is integer arithmetic.
+"""
+
+from functools import lru_cache
+from math import gcd
+
+import mpmath as mp
+import pytest
+
+from wzw import fusion, smatrix
+from wzw.fusion import _fusion_matrices, fusion_ring
+from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
+from wzw.smatrix import kac_peterson_counts, s_matrix
+
+G2 = LieAlgebraId("G", 2)
+F4 = LieAlgebraId("F", 4)
+A2 = LieAlgebraId("A", 2)
+B3 = LieAlgebraId("B", 3)
+
+
+def _divide_exact(num, den):
+    """num / den for integer coefficient lists (lowest degree first), den monic."""
+    num, m = list(num), len(den) - 1
+    quot = [0] * (len(num) - m)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = c = num[k + m]
+        for t, b in enumerate(den):
+            num[k + t] -= c * b
+    assert not any(num), "inexact division"
+    return quot
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n):
+    """Phi_n = (x^n - 1) / prod of Phi_d over the proper divisors d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divide_exact(poly, _cyclotomic(d))
+    return tuple(poly)
+
+
+def _mul(a, b):
+    """Product of two elements mod x^N - 1."""
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % n] += x * y
+    return out
+
+
+def _is_zero(a, phi):
+    """Whether a vanishes mod the monic phi."""
+    a, m = list(a), len(phi) - 1
+    for k in range(len(a) - 1, m - 1, -1):
+        c = a[k]
+        if c:
+            for t, b in enumerate(phi):
+                a[k - m + t] -= c * b
+    return not any(a[:m])
+
+
+def _sub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def test_cyclotomic_polynomials():
+    assert _cyclotomic(1) == (-1, 1)
+    assert _cyclotomic(6) == (1, -1, 1)
+    assert _cyclotomic(12) == (1, 0, -1, 0, 1)
+    assert _cyclotomic(15) == (1, -1, 0, 1, -1, 1, 0, -1, 1)
+    assert len(_cyclotomic(22)) - 1 == 10  # Euler phi
+
+
+def _verlinde_failures(algebra, level):
+    """Eigen-columns a on which raw_ia raw_ja != sum_k N_ij^k raw_ka raw_0a mod Phi_N
+    for some i <= j: the Verlinde formula cleared of the normalisation."""
+    basis, big_n, counts = kac_peterson_counts(algebra, level)
+    ring = fusion_ring(algebra, level)
+    phi = _cyclotomic(big_n)
+    index = {w: k for k, w in enumerate(basis)}
+    products = {(i, j): ring.product(basis[i], basis[j]) for i in range(len(basis)) for j in range(i, len(basis))}
+    failures = set()
+    for a in range(len(basis)):
+        col = [row[a] for row in counts]
+        for (i, j), product in products.items():
+            combo = [0] * big_n
+            for w, mult in product.items():
+                combo = [x + mult * y for x, y in zip(combo, col[index[w]])]
+            if not _is_zero(_sub(_mul(col[i], col[j]), _mul(combo, col[0])), phi):
+                failures.add(a)
+    return failures
+
+
+@pytest.mark.parametrize(
+    "algebra,level", [(G2, 1), (G2, 2), (G2, 3), (F4, 1), (F4, 2), (F4, 3), (A2, 2)]
+)
+def test_exact_verlinde_formula_links_counts_to_kac_walton(algebra, level):
+    assert _verlinde_failures(algebra, level) == set()
+
+
+def test_exact_verlinde_formula_catches_a_planted_self_dual_coefficient(monkeypatch):
+    # N_tau,tau^tau maps to itself under N_xy^z = N_xz*^y*, so the table check in
+    # _fusion_matrices cannot see it; the two-route oracle must
+    real = fusion._kac_walton
+    ring = fusion_ring(G2, 1)
+    tau = ring.basis[1]
+
+    def planted(algebra, level, x, y):
+        out = dict(real(algebra, level, x, y))
+        if (algebra, x, y) == (G2, tau.labels, tau.labels):
+            out[tau] += 1
+        return out
+
+    _fusion_matrices.cache_clear()
+    monkeypatch.setattr(fusion, "_kac_walton", planted)
+    try:
+        assert _verlinde_failures(G2, 1) == {0, 1}
+    finally:
+        _fusion_matrices.cache_clear()
+
+
+@pytest.mark.parametrize("algebra,level", [(G2, 1), (G2, 3), (F4, 1), (F4, 2), (A2, 3), (B3, 2)])
+def test_galois_symmetry(algebra, level):
+    # Coste-Gannon: for l prime to N, zeta -> zeta^l sends row lambda to
+    # eps row pi(lambda), where l (lambda + rho) folds at kappa to pi(lambda) + rho
+    # with sign eps
+    basis, big_n, counts = kac_peterson_counts(algebra, level)
+    d = build_root_datum(algebra)
+    kappa = level + d.dual_coxeter
+    index = {w.labels: k for k, w in enumerate(basis)}
+    units = [u for u in range(1, big_n) if gcd(u, big_n) == 1]
+    assert len(units) > 1
+    for u in units:
+        for i, lam in enumerate(basis):
+            folded, eps, _ = d.fold(tuple(u * (x + 1) for x in lam.labels), kappa)
+            target = counts[index[tuple(x - 1 for x in folded)]]
+            for row, want in zip(counts[i], target):
+                scaled = [0] * big_n
+                for r, c in enumerate(row):
+                    scaled[r * u % big_n] += c
+                assert scaled == [eps * c for c in want], (u, lam)
+
+
+@pytest.mark.parametrize("algebra,level", [(G2, 1), (G2, 2), (G2, 3), (F4, 1), (F4, 2), (A2, 2), (A2, 3), (B3, 2)])
+def test_s_squared_is_charge_conjugation(algebra, level):
+    # (raw^2)_ij = c delta_{j, i*} for one nonzero c in Z[zeta_N]
+    basis, big_n, counts = kac_peterson_counts(algebra, level)
+    d = build_root_datum(algebra)
+    index = {w.labels: k for k, w in enumerate(basis)}
+    dual = [index[d.dominant(tuple(-x for x in w.labels))] for w in basis]
+    phi = _cyclotomic(big_n)
+    n = len(basis)
+    square = {}
+    for i in range(n):
+        for j in range(n):
+            acc = [0] * big_n
+            for k in range(n):
+                acc = [x + y for x, y in zip(acc, _mul(counts[i][k], counts[k][j]))]
+            square[i, j] = acc
+    c = square[0, dual[0]]
+    assert not _is_zero(c, phi)
+    for (i, j), value in square.items():
+        assert _is_zero(_sub(value, c) if j == dual[i] else value, phi), (i, j)
+    if algebra == A2:
+        assert dual != list(range(n))  # conjugation is not the identity here
+
+
+def test_counts_asymmetry_raises(monkeypatch):
+    # flip the sign of one orbit point of the second row: the count still
+    # matches |W| but S_ij = S_ji breaks, and the check is a plain if
+    real = build_root_datum(G2)
+
+    class Flipped:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def weyl_orbit(self, labels):
+            orbit = real.weyl_orbit(labels)
+            if labels == (2, 1):
+                last = next(reversed(orbit))
+                orbit[last] = -orbit[last]
+            return orbit
+
+    monkeypatch.setattr(smatrix, "build_root_datum", lambda algebra: Flipped())
+    with pytest.raises(InvariantError, match="S_ij = S_ji"):
+        kac_peterson_counts(G2, 1)
+
+
+def _per_point_s_matrix(algebra, level, precision):
+    """The earlier route: one exponential per Weyl-orbit point, no counting."""
+    d = build_root_datum(algebra)
+    basis = fusion_ring(algebra, level).basis
+    denom = (level + d.dual_coxeter) * d.denominator
+    with mp.workdps(precision):
+        rows = []
+        for lam in basis:
+            orbit = d.weyl_orbit(tuple(x + 1 for x in lam.labels))
+            row = []
+            for mu in basis:
+                mu_rho = tuple(x + 1 for x in mu.labels)
+                g_mu = [sum(g * y for g, y in zip(row_g, mu_rho)) for row_g in d.gram]
+                acc = mp.mpc(0)
+                for point, sign in orbit.items():
+                    q = -2 * sum(p * g for p, g in zip(point, g_mu))
+                    acc += sign * mp.expjpi(mp.mpf(q) / denom)
+                row.append(acc)
+            rows.append(row)
+        scale = mp.sqrt(sum(abs(x) ** 2 for x in rows[0]))
+        phase = rows[0][0] / abs(rows[0][0])
+        return [[x / (scale * phase) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("algebra,level", [(G2, 1), (G2, 2), (G2, 3), (F4, 1), (F4, 2)])
+def test_counts_route_matches_the_per_point_sum(algebra, level):
+    sm = s_matrix(algebra, level, 50)
+    old = _per_point_s_matrix(algebra, level, 50)
+    with mp.workdps(50):
+        worst = max(abs(x - y) for row, old_row in zip(sm.entries, old) for x, y in zip(row, old_row))
+    assert worst < mp.mpf("1e-45")
