@@ -55,15 +55,19 @@ class FusionRing:
         d = self.datum
         return d.weight(d.dominant(tuple(-x for x in w.labels)))
 
-    def product(self, x: Weight, y: Weight) -> dict:
-        """Fusion product as a dict Weight -> N^nu_{xy}."""
+    def _table(self, x: Weight, y: Weight) -> dict:
+        """The cached Kac-Walton table of x * y; read it, never change it."""
         self.index(x), self.index(y)
         return _kac_walton(self.algebra, self.level, *sorted((x.labels, y.labels)))
+
+    def product(self, x: Weight, y: Weight) -> dict:
+        """Fusion product as a new dict Weight -> N^nu_{xy}."""
+        return dict(self._table(x, y))
 
     def coefficient(self, x: Weight, y: Weight, z: Weight) -> int:
         """N_{xy}^z."""
         self.index(z)
-        return self.product(x, y).get(z, 0)
+        return self._table(x, y).get(z, 0)
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +114,7 @@ def _fusion_matrices(algebra: LieAlgebraId, level: int) -> tuple:
 
     def row(x, y):
         out = [0] * len(basis)
-        for z, m in ring.product(x, y).items():
+        for z, m in ring._table(x, y).items():
             out[index[z]] = m
         return tuple(out)
 

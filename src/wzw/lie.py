@@ -178,13 +178,10 @@ class RootDatum:
 
     algebra: LieAlgebraId
     cartan: tuple  # rows a[i][j] = <alpha_j, alpha_i^vee>
-    cartan_inv: tuple  # Fraction matrix
-    symmetrizer: tuple  # d_i = (alpha_i, alpha_i)/2, Fractions
     positive_roots: tuple  # simple-root coordinates, height-then-lex order
     highest_root: RootCoords
     comarks: tuple  # dual marks a_i^vee = d_i * marks_i, ints
     dual_coxeter: int
-    form: tuple  # (omega_i, omega_j) as Fractions
     weyl_order: int
     denominator: int  # D, the least common denominator of the form
     gram: tuple  # D (omega_i, omega_j), ints
@@ -374,13 +371,10 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
     datum = RootDatum(
         algebra=algebra,
         cartan=tuple(tuple(row) for row in cartan),
-        cartan_inv=tuple(tuple(row) for row in cartan_inv),
-        symmetrizer=tuple(d),
         positive_roots=roots,
         highest_root=theta,
         comarks=comarks,
         dual_coxeter=1 + sum(comarks),
-        form=form,
         weyl_order=_parabolic_order(roots, range(n)),
         denominator=denom,
         gram=tuple(tuple(int(x * denom) for x in row) for row in form),

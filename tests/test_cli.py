@@ -272,7 +272,7 @@ def test_correlator_budget_overrun_exits_two(capsys, monkeypatch, tmp_path):
 
 
 def test_correlator_script_operator_cap(capsys, tmp_path):
-    # X+a(0) pushed through a long H(-1) word recursed once per operator
+    # the cap bounds time: a script over it exits 2 with one line, one under it answers
     script = tmp_path / "s.txt"
     script.write_text("slot1: X+a(0)" + " H(-1)" * 1200 + "\n")
     code, out, err = run(capsys, "correlator", "--script", str(script))

@@ -1,6 +1,7 @@
 """Symbolic current-algebra rewriting: brackets, gauge moves, reductions."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from wzw.correlator import (
     PairingEnv,
     Poly,
     ReductionBudgetExceeded,
+    _accumulate,
+    _push,
     apply_bracket,
     cartan_mode,
     case_cartan_insertion,
@@ -283,6 +286,23 @@ def test_budget_counts_gauge_moves_exactly():
     assert reduce_state(state, env, budget=61) == Poly({("aH",) * 3 + ("xa",) * 3: 972})
 
 
+def _hxx(k, mode):
+    return CorrelatorState.single(
+        (cartan_mode(-mode),) * k, (root_mode("a", +1, -mode),) * k, (root_mode("a", -1, -mode),) * k
+    )
+
+
+@pytest.mark.parametrize(
+    "state, level, least",
+    [(case_cartan_insertion(), 1, 4), (_hxx(4, 1), 5, 272), (_hxx(3, 2), 3, 216), (_hxx(2, 4), 4, 91)],
+    ids=["case-III", "k4-mode1", "k3-mode2", "k2-mode4"],
+)
+def test_least_budgets_that_complete(state, level, least):
+    with pytest.raises(ReductionBudgetExceeded):
+        reduce_state(state, PairingEnv(level=level), budget=least - 1)
+    assert reduce_state(state, PairingEnv(level=level), budget=least)
+
+
 def test_deeper_words_terminate():
     env = PairingEnv(level=1)
     state = CorrelatorState.single(
@@ -304,6 +324,70 @@ def test_normal_ordering_inside_a_slot():
         (cartan_mode(-2), root_mode("a", +1, 0)), (root_mode("a", +1, -1),), (root_mode("a", -1, -1),)
     )
     assert reduce_state(case_opposite_pair() + dropped, env) == -Poly.symbol("xa")
+
+
+# ---------------------------------------------------------------------------
+# the iterative push against a recursive reference
+
+
+def _reference_merge(pairs):
+    acc = {}
+    for coeff, word in pairs:
+        _accumulate(acc, word, coeff)
+    return [(c, w) for w, c in acc.items()]
+
+
+def _reference_push(word, op, env):
+    """op . word |0> with op.mode >= 0, expanded into all-negative words."""
+    if not word:
+        return []
+    head, rest = word[0], word[1:]
+    out = []
+    for coeff, tail in _reference_push(rest, op, env):
+        out.append((coeff, (head,) + tail))
+    for coeff, bop in apply_bracket(op, head, env):
+        if bop is None:
+            out.append((coeff, rest))
+        elif bop.mode >= 0:
+            for c2, tail in _reference_push(rest, bop, env):
+                out.append((coeff * c2, tail))
+        else:
+            out.append((coeff, (bop,) + rest))
+    return _reference_merge(out)
+
+
+def _mode_ops(roots, modes):
+    roots = st.sampled_from(roots)
+    return st.one_of(
+        st.builds(cartan_mode, modes),
+        st.builds(root_mode, roots, st.sampled_from((1, -1)), modes),
+    )
+
+
+def _outcome(push, word, op, env):
+    """The merged {word: coefficient} of a push, or the message of its ValueError."""
+    try:
+        out = push(word, op, env)
+    except ValueError as exc:
+        return str(exc)
+    return out if isinstance(out, dict) else {w: c for c, w in out}
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_push_matches_the_recursive_reference(data):
+    roots = data.draw(st.sampled_from((("a",), ("a", "b"))))
+    word = tuple(data.draw(st.lists(_mode_ops(roots, st.integers(-3, -1)), max_size=6)))
+    op = data.draw(_mode_ops(roots, st.integers(0, 2)))
+    env = PairingEnv(level=data.draw(st.integers(0, 3)))
+    assert _outcome(_push, word, op, env) == _outcome(_reference_push, word, op, env)
+
+
+def test_push_through_a_word_past_the_recursion_limit():
+    # bypasses the script cap: one push walks all 1,050 operators
+    word = (root_mode("a", +1, 0),) + (cartan_mode(-1),) * 1050
+    assert len(word) > sys.getrecursionlimit()
+    assert reduce_state(CorrelatorState.single(word), PairingEnv(level=1)) == 0
 
 
 # ---------------------------------------------------------------------------

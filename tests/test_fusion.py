@@ -40,6 +40,18 @@ def test_g2_level_one_table():
     assert ring.product(tau, tau) == {vac: 1, tau: 1}
 
 
+def test_product_hands_out_a_copy_of_the_cached_table():
+    # editing a returned product must change no later answer
+    ring = fusion_ring(G2, 1)
+    vac, tau = ring.basis
+    _fusion_matrices.cache_clear()
+    p = ring.product(tau, tau)
+    p[tau] += 1
+    assert ring.product(tau, tau) == {vac: 1, tau: 1}
+    assert ring.coefficient(tau, tau, tau) == 1
+    assert verlinde_dim(ring, CurveData(2, ())) == 5
+
+
 def test_f4_level_one_table_is_fibonacci_too():
     ring = fusion_ring(F4, 1)
     vac, tau = ring.basis

@@ -10,6 +10,7 @@ or a filter over a full label box) and compares.
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from wzw.characters import graded_module
 from wzw.lie import (
     LieAlgebraId,
+    _invert,
+    _symmetrizer,
     build_root_datum,
     dominant_below,
     freudenthal_weights,
@@ -31,19 +34,24 @@ F4 = LieAlgebraId("F", 4)
 E8 = LieAlgebraId("E", 8)
 
 
+@lru_cache(maxsize=None)
+def fraction_form(algebra):
+    """The Fraction symmetrizer d_i and inverse Cartan matrix, from the tables, not from gram."""
+    return _symmetrizer(algebra.series, algebra.rank), _invert(build_root_datum(algebra).cartan)
+
+
 def fraction_ip(d, x, y):
     """(x, y) from the Fraction form d_i (A^-1)_ij."""
     n = d.rank
-    return sum(
-        x[i] * d.symmetrizer[i] * d.cartan_inv[i][j] * y[j] for i in range(n) for j in range(n)
-    )
+    sym, cartan_inv = fraction_form(d.algebra)
+    return sum(x[i] * sym[i] * cartan_inv[i][j] * y[j] for i in range(n) for j in range(n))
 
 
 def fraction_weyl_dimension(d, labels):
     """prod over positive roots of (lam + rho, beta) / (rho, beta), in Fractions."""
 
     def pair(x, beta):
-        return sum(Fraction(b) * s * a for b, s, a in zip(beta, d.symmetrizer, x))
+        return sum(Fraction(b) * s * a for b, s, a in zip(beta, fraction_form(d.algebra)[0], x))
 
     shifted = tuple(x + 1 for x in labels)
     value = Fraction(1)

@@ -81,12 +81,14 @@ def test_e8_adjoint_is_fundamental():
 
 @pytest.mark.parametrize("algebra", ALL)
 def test_form_is_symmetric_positive(algebra):
+    # gram = D * form with D > 0, so the property carries over
     d = build_root_datum(algebra)
     n = d.rank
+    assert d.denominator > 0
     for i in range(n):
         for j in range(n):
-            assert d.form[i][j] == d.form[j][i]
-            assert d.form[i][j] > 0
+            assert d.gram[i][j] == d.gram[j][i]
+            assert d.gram[i][j] > 0
 
 
 @pytest.mark.parametrize("algebra", [G2, F4, LieAlgebraId.from_string("A2")])

@@ -96,3 +96,13 @@ def test_cli_and_package_import_heavy_modules_lazily():
                 if node.level > 0:
                     names = {node.module} if node.module else {a.name for a in node.names}
                     assert not names & lazy, (module, node.lineno)
+
+
+def test_correlator_engine_is_iterative():
+    # a function that names itself can recurse past the interpreter's limit on a long word
+    tree = _tree("correlator")
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert "_merge" not in defs
+    for name in ("_push", "_normalize_word", "_gauge_step", "reduce_state"):
+        names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert name not in names, name
