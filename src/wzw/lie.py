@@ -17,9 +17,11 @@ Conventions, fixed once and used everywhere downstream:
 All arithmetic is exact and, past construction, integral.  The form is kept as
 an integer Gram matrix gram[i][j] = D (omega_i, omega_j) with one common
 denominator D (1 for E8, 2 for F4, 3 for G2), so every pairing is an integer
-and (x, y) = scaled_ip(x, y) / D.  Fractions appear only while the datum is
-built and in public return values such as ip; there are no floats.  A failed
-internal check raises InvariantError, which stays active under python -O.
+and (x, y) = scaled_ip(x, y) / D.  It is built from the Cartan matrix, a table
+of integer root lengths and the Killing sum over the positive roots, with
+integers only; Fractions appear only in public return values such as ip, and
+there are no floats.  A failed internal check raises InvariantError, which
+stays active under python -O.
 
 One walk, dominant_weights, enumerates dominant weights under a monotone cost,
 and one routine, fold_sum, sums the signed chamber or alcove folds of weights.
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import InvariantError  # defined in the package so cli can catch it without this module
 
@@ -40,6 +42,8 @@ RootCoords = tuple  # integer coordinates in the simple-root basis
 
 _SERIES = ("A", "B", "C", "D", "E", "F", "G")
 _FOLD_GUARD = 10_000  # reflections allowed in one chamber fold
+MAX_RANK = 80  # at the cap, a cold `wzw root-system --json` answers in about 2 s
+MAX_WEIGHT_BOX = 2_000_000  # points of the Freudenthal coefficient box c <= A^-1 lambda
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,8 @@ class LieAlgebraId:
         if self.series not in _SERIES:
             raise ValueError(f"unknown series {self.series!r}")
         n = self.rank
+        if n > MAX_RANK:  # refused before any n x n table is built
+            raise ValueError(f"rank {n} is above the cap {MAX_RANK}")
         ok = {
             "A": n >= 1,
             "B": n >= 2,
@@ -127,35 +133,19 @@ def _cartan_matrix(series: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _symmetrizer(series: str, rank: int) -> list[Fraction]:
-    one = Fraction(1)
-    half = Fraction(1, 2)
+def _root_lengths(series: str, rank: int) -> list[int]:
+    """(alpha_i, alpha_i) in units of the shortest simple root: 1, 2 or 3."""
     if series in ("A", "D", "E"):
-        return [one] * rank
+        return [1] * rank
     if series == "B":
-        return [one] * (rank - 1) + [half]
+        return [2] * (rank - 1) + [1]
     if series == "C":
-        return [half] * (rank - 1) + [one]
+        return [1] * (rank - 1) + [2]
     if series == "F":
-        return [one, one, half, half]
+        return [2, 2, 1, 1]
     if series == "G":
-        return [Fraction(1, 3), one]
+        return [1, 3]
     raise ValueError(series)
-
-
-def _invert(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _exact_quotient(num: int, den: int, what: str) -> int:
@@ -266,12 +256,6 @@ class RootDatum:
 
     # -- Weyl group action -------------------------------------------------
 
-    def reflect(self, labels: Labels, i: int) -> Labels:
-        c = labels[i]
-        if c == 0:
-            return labels
-        return tuple(x - c * y for x, y in zip(labels, self.cartan_cols[i]))
-
     def fold(self, labels: Labels, kappa=None, limit=None):
         """Reflect a weight into the dominant chamber.
 
@@ -333,39 +317,45 @@ class RootDatum:
         return _exact_quotient(self.weyl_order, _parabolic_order(self.positive_roots, zeros), "|W| / |W_J|")
 
 
-def _integral(values, what: str) -> tuple:
-    return tuple(_exact_quotient(v.numerator, v.denominator, what) for v in values)
-
-
 @lru_cache(maxsize=None)
 def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
     """Construct the full root datum; rejects invalid (series, rank) via LieAlgebraId."""
     series, n = algebra.series, algebra.rank
     cartan = _cartan_matrix(series, n)
-    d = _symmetrizer(series, n)
+    lengths = _root_lengths(series, n)
 
-    # d_i a_ij must be symmetric, otherwise the tables above are wrong
-    for i in range(n):
-        for j in range(n):
-            if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
-                raise InvariantError(f"{algebra}: symmetrizer fails at ({i}, {j})")
+    # L_i a_ij must be symmetric, otherwise the tables above are wrong
+    if any(lengths[i] * cartan[i][j] != lengths[j] * cartan[j][i] for i in range(n) for j in range(n)):
+        raise InvariantError(f"{algebra}: the root lengths do not symmetrize the Cartan matrix")
 
-    closure = _positive_root_closure(cartan, n)
+    cartan_cols = tuple(zip(*cartan))
+    closure = _positive_root_closure(cartan_cols, n)
     roots, root_labels = tuple(closure), tuple(closure.values())
-    top_height = max(sum(r) for r in roots)
-    top = [r for r in roots if sum(r) == top_height]
-    if len(top) != 1:
+    theta = roots[-1]  # the closure is in height order
+    if sum(sum(r) == sum(theta) for r in roots) != 1:
         raise InvariantError(f"{algebra}: highest root is not unique")
-    theta = top[0]
-    comarks = _integral((d[i] * theta[i] for i in range(n)), f"{algebra} comarks")
+    # with (theta, theta) = 2 the symmetrizer is d_i = L_i / longest
+    longest = max(lengths)
+    comarks = tuple(_exact_quotient(L * m, longest, f"{algebra} comark") for L, m in zip(lengths, theta))
+    dual_coxeter = 1 + sum(comarks)
 
-    cartan_inv = _invert(cartan)
-    form = tuple(tuple(d[i] * cartan_inv[i][j] for j in range(n)) for i in range(n))
+    # Killing form: h^vee (x, y) = sum over beta > 0 of (beta, x) (beta, y), and
+    # (beta, omega_i) = beta_i d_i, so sums[i][j] = h^vee longest^2 (omega_i, omega_j)
+    sums = [[0] * n for _ in range(n)]
+    for beta in roots:
+        support = [(i, b * L) for i, (b, L) in enumerate(zip(beta, lengths)) if b]
+        for i, a in support:
+            row = sums[i]
+            for j, b in support:
+                row[j] += a * b
+    common = dual_coxeter * longest * longest
+    g = math.gcd(common, *(x for row in sums for x in row))
+    denom = common // g
+    gram = tuple(tuple(x // g for x in row) for row in sums)
     # dominant_weights needs a norm that grows with every label
-    if any(x <= 0 for row in form for x in row):
+    if any(x <= 0 for row in gram for x in row):
         raise InvariantError(f"{algebra}: form has a nonpositive entry")
-    denom = math.lcm(*(x.denominator for row in form for x in row))
-    scaled_sym = _integral((denom * x for x in d), f"{algebra} scaled symmetrizer")
+    scaled_sym = tuple(_exact_quotient(denom * L, longest, f"{algebra} scaled symmetrizer") for L in lengths)
     rho_pairings = tuple(sum(b * s for b, s in zip(beta, scaled_sym)) for beta in roots)
 
     datum = RootDatum(
@@ -374,12 +364,12 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
         positive_roots=roots,
         highest_root=theta,
         comarks=comarks,
-        dual_coxeter=1 + sum(comarks),
+        dual_coxeter=dual_coxeter,
         weyl_order=_parabolic_order(roots, range(n)),
         denominator=denom,
-        gram=tuple(tuple(int(x * denom) for x in row) for row in form),
+        gram=gram,
         scaled_symmetrizer=scaled_sym,
-        cartan_cols=tuple(zip(*cartan)),
+        cartan_cols=cartan_cols,
         positive_root_labels=root_labels,
         theta_labels=closure[theta],
         rho_pairings=rho_pairings,
@@ -392,23 +382,26 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
     return datum
 
 
-def _positive_root_closure(cartan, n) -> dict:
+def _positive_root_closure(cartan_cols, n) -> dict:
     """Positive root -> Dynkin labels, in height-then-lex order.
 
     A positive root beta with a negative label c at node i reflects to the
     higher root beta - c alpha_i, and every non-simple positive root arises
     so from a lower one; the closure of the simple roots is therefore all.
+    The labels of beta - c alpha_i are those of beta minus c times column i.
     """
     labels_of = {}
-    todo = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    todo = [(tuple(int(i == j) for j in range(n)), cartan_cols[i]) for i in range(n)]
     while todo:
-        beta = todo.pop()
+        beta, labels = todo.pop()
         if beta in labels_of:
             continue
-        labels_of[beta] = labels = tuple(sum(cartan[i][j] * beta[j] for j in range(n)) for i in range(n))
+        labels_of[beta] = labels
         for i, c in enumerate(labels):
             if c < 0:
-                todo.append(tuple(b - c * (j == i) for j, b in enumerate(beta)))
+                up = list(beta)
+                up[i] -= c
+                todo.append((tuple(up), tuple(x - c * y for x, y in zip(labels, cartan_cols[i]))))
     return {r: labels_of[r] for r in sorted(labels_of, key=lambda r: (sum(r), r))}
 
 
@@ -473,12 +466,12 @@ def _dominant_multiplicities(d: RootDatum, lam: Labels) -> dict:
 
     Every dominant mu <= lam has |mu + rho| <= |lam + rho|, so the norm ball
     of lam + rho holds them all.  Weights whose coefficient box
-    c <= A^{-1} lam has more than 2,000,000 points are refused.
+    c <= A^{-1} lam has more than MAX_WEIGHT_BOX points are refused.
     """
     box = math.prod(
         sum(g * x for g, x in zip(row, lam)) // s + 1 for row, s in zip(d.gram, d.scaled_symmetrizer)
     )
-    if box > 2_000_000:
+    if box > MAX_WEIGHT_BOX:
         raise ValueError("weight system too large for exact enumeration")
     norm_top = d.rho_norm(lam)
     roots = tuple(zip(d.positive_roots, d.positive_root_labels))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from wzw import acceptance, cli, correlator, fusion, smatrix
+from wzw import acceptance, cli, correlator, fusion, lie, smatrix
 from wzw.acceptance import CriterionResult
 from wzw.fusion import MAX_GENUS, MAX_INSERTIONS, closed_form_value
 from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
@@ -77,6 +77,15 @@ def test_root_system_json(capsys):
     assert doc["cartan_matrix"] == [[2, -3], [-1, 2]]
     assert doc["dimension"] == 14
     assert len(doc["positive_roots"]) == 6
+
+
+def test_root_system_rank_cap(capsys):
+    code, out, _ = run(capsys, "root-system", "--algebra", f"A{lie.MAX_RANK}", "--json")
+    assert code == 0
+    assert json.loads(out)["rank"] == lie.MAX_RANK
+    code, out, err = run(capsys, "root-system", "--algebra", f"B{lie.MAX_RANK + 1}", "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: rank {lie.MAX_RANK + 1} is above the cap {lie.MAX_RANK}\n"
 
 
 def test_fusion_table_json(capsys):

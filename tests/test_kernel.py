@@ -1,8 +1,9 @@
 """The integer kernel of RootDatum against independent routes.
 
 Each test recomputes a quantity without the datum's integer Gram matrix,
-chamber fold, orbit walker or dominant-weight walk (from the Fraction inverse
-Cartan matrix, the Fraction symmetrizer, a hand-written fold taking a
+chamber fold, orbit walker or dominant-weight walk (from a Fraction inverse
+of the Cartan matrix and a Fraction symmetrizer table, both kept here as the
+oracle since the library uses neither; a hand-written fold taking a
 different reflection path, a walk over root coefficients instead of labels,
 or a filter over a full label box) and compares.
 """
@@ -19,8 +20,6 @@ from hypothesis import strategies as st
 from wzw.characters import graded_module
 from wzw.lie import (
     LieAlgebraId,
-    _invert,
-    _symmetrizer,
     build_root_datum,
     dominant_below,
     freudenthal_weights,
@@ -34,10 +33,39 @@ F4 = LieAlgebraId("F", 4)
 E8 = LieAlgebraId("E", 8)
 
 
+def fraction_symmetrizer(series, rank):
+    """d_i = (alpha_i, alpha_i) / 2 with (theta, theta) = 2, per series."""
+    one, half, third = Fraction(1), Fraction(1, 2), Fraction(1, 3)
+    return {
+        "A": [one] * rank,
+        "B": [one] * (rank - 1) + [half],
+        "C": [half] * (rank - 1) + [one],
+        "D": [one] * rank,
+        "E": [one] * rank,
+        "F": [one, one, half, half],
+        "G": [third, one],
+    }[series]
+
+
+def fraction_inverse(m):
+    """Gauss-Jordan inverse of a square matrix in Fractions."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 @lru_cache(maxsize=None)
 def fraction_form(algebra):
-    """The Fraction symmetrizer d_i and inverse Cartan matrix, from the tables, not from gram."""
-    return _symmetrizer(algebra.series, algebra.rank), _invert(build_root_datum(algebra).cartan)
+    """The Fraction symmetrizer d_i and inverse Cartan matrix, not from gram."""
+    return fraction_symmetrizer(algebra.series, algebra.rank), fraction_inverse(build_root_datum(algebra).cartan)
 
 
 def fraction_ip(d, x, y):
@@ -108,6 +136,26 @@ def test_ip_matches_fraction_form(data):
     x, y = data.draw(labels), data.draw(labels)
     assert d.ip(x, y) == fraction_ip(d, x, y)
     assert d.scaled_ip(x, y) == fraction_ip(d, x, y) * d.denominator
+
+
+FORM_TYPES = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"{s}{n}" for s in "BC" for n in range(2, 11)]
+    + [f"D{n}" for n in range(3, 11)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", FORM_TYPES)
+def test_gram_matches_fraction_inverse_form(name):
+    # the library sums the Killing form over the positive roots; this route
+    # inverts the Cartan matrix, so a wrong root or length shows in one entry
+    algebra = LieAlgebraId.from_string(name)
+    d = build_root_datum(algebra)
+    sym, cartan_inv = fraction_form(algebra)
+    form = [[sym[i] * x for x in row] for i, row in enumerate(cartan_inv)]
+    assert d.denominator == math.lcm(*(x.denominator for row in form for x in row))
+    assert [list(row) for row in d.gram] == [[x * d.denominator for x in row] for row in form]
 
 
 @given(data=st.data())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzw.lie import (
+    MAX_RANK,
     LieAlgebraId,
     build_root_datum,
     freudenthal_weights,
@@ -29,6 +30,15 @@ def test_algebra_name_parsing():
     for bad in ("X2", "G", "G0", "Gx", ""):
         with pytest.raises(ValueError):
             LieAlgebraId.from_string(bad)
+
+
+def test_rank_cap_refuses_before_building():
+    for series in "ABCD":
+        assert LieAlgebraId(series, MAX_RANK).rank == MAX_RANK
+        with pytest.raises(ValueError, match=f"rank {MAX_RANK + 1} is above the cap {MAX_RANK}"):
+            LieAlgebraId(series, MAX_RANK + 1)
+    with pytest.raises(ValueError, match="above the cap"):
+        LieAlgebraId.from_string(f"A{10**9}")  # an n x n Cartan matrix here would not fit in memory
 
 
 def test_g2_cartan_matrix():
@@ -91,14 +101,28 @@ def test_form_is_symmetric_positive(algebra):
             assert d.gram[i][j] > 0
 
 
-@pytest.mark.parametrize("algebra", [G2, F4, LieAlgebraId.from_string("A2")])
+REFLECTION_TYPES = [
+    LieAlgebraId.from_string(name)
+    for name in [f"A{n}" for n in range(1, 13)]
+    + [f"{s}{n}" for s in "BC" for n in range(2, 11)]
+    + [f"D{n}" for n in range(3, 11)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+]
+
+
+@pytest.mark.parametrize("algebra", REFLECTION_TYPES)
 def test_reflections_are_involutions(algebra):
     d = build_root_datum(algebra)
+
+    def reflect(lab, i):  # s_i x = x - <x, alpha_i^vee> alpha_i, alpha_i in labels
+        return tuple(x - lab[i] * a for x, a in zip(lab, d.cartan_cols[i]))
+
     lab = tuple(range(1, d.rank + 1))
+    other = tuple(range(d.rank, 0, -1))
     for i in range(d.rank):
-        assert d.reflect(d.reflect(lab, i), i) == lab
-        # reflections preserve the invariant form
-        assert d.ip(d.reflect(lab, i), d.reflect(lab, i)) == d.ip(lab, lab)
+        assert reflect(reflect(lab, i), i) == lab
+        # reflections preserve the invariant form, which the Killing sum must keep
+        assert d.ip(reflect(lab, i), reflect(other, i)) == d.ip(lab, other)
 
 
 @pytest.mark.parametrize("algebra", [G2, F4])

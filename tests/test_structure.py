@@ -106,3 +106,12 @@ def test_correlator_engine_is_iterative():
     for name in ("_push", "_normalize_word", "_gauge_step", "reduce_state"):
         names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
         assert name not in names, name
+
+
+def test_root_datum_is_built_in_integers():
+    # the Gram matrix comes from the Killing sum over the positive roots; the
+    # Fraction inverse of the Cartan matrix lives only in the tests, as an oracle
+    tree = _tree("lie")
+    assert "Fraction" not in _names_used(tree, ["build_root_datum"])
+    defs = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert defs & {"_invert", "_symmetrizer", "_integral"} == set()
