@@ -3,9 +3,11 @@
 Depth n of a level-ell module collects the weight spaces n steps down the
 imaginary direction.  Multiplicities come from the affine form of the
 Freudenthal recursion: the shifted-norm difference (including the level
-term 2 n (ell + h_vee)) multiplies the unknown, and the right side sums
-over the real roots at every imaginary displacement plus the rank-fold
-imaginary roots themselves.  The final division is checked to be exact.
+term 2 n (ell + h_vee)) multiplies the unknown, and the right side is one
+sum over the positive affine roots beta + m delta (the real ones once, the
+imaginary m delta rank times).  Each root is stepped j times until the
+shifted weight would leave the root lattice below the highest weight, the
+exact support of the module.  The final division is checked to be exact.
 
 The even unimodular rank-8 lattice gives an independent route to the same
 numbers for the E8 vacuum module: shell counts divided by the eighth power
@@ -21,6 +23,8 @@ from functools import lru_cache
 from .embeddings import trace_anomaly
 from .lie import InvariantError, LieAlgebraId, Weight, build_root_datum, dominant_below
 
+MAX_BRANCH_DEPTH = 8  # at the cap, a cold `wzw branch-verify --json` answers in about 3.5 s
+
 
 class GradedModule:
     """Weight multiplicity table of one integrable highest-weight module.
@@ -29,8 +33,13 @@ class GradedModule:
     dominant weights below highest + k*theta in the norm ball that the
     affine Freudenthal denominator allows (lie.dominant_below), processed by
     increasing height of highest + k*theta - nu, so every same-depth lookup
-    lands on an entry that already exists.  A finished row also fixes its
-    graded dimension (multiplicities times Weyl-orbit sizes), which queries read.
+    lands on an entry that already exists.  Over alpha_0 = delta - theta,
+    alpha_1 .. alpha_r, a weight nu at depth k lies below the highest weight
+    by the gap (k, coordinates of highest + k*theta - nu) >= 0, and the root
+    beta + m delta has the coordinates (m, m*theta + beta).  The recursion is
+    one loop over a table of these roots, each stepped while it fits in the
+    gap; every term skipped is zero.  A finished row also fixes its graded
+    dimension (multiplicities times Weyl-orbit sizes), which queries read.
     """
 
     def __init__(self, algebra: LieAlgebraId, level: int, highest: Weight):
@@ -45,23 +54,25 @@ class GradedModule:
         self.level = level
         self.highest = tuple(int(x) for x in highest.labels)
         self.datum = d
-        self._all_root_labels = d.positive_root_labels + tuple(
-            tuple(-x for x in lab) for lab in d.positive_root_labels
-        )
         self._kappa = level + d.dual_coxeter
         self._top_norm = d.rho_norm(self.highest)
+        self._roots: list = []  # (labels of beta, coordinates, multiplicity)
         self._mult = {(self.highest, 0): 1}
         self._dims: list = []  # graded dimension of each finished depth
         self._done = -1
 
-    # -- candidate enumeration -------------------------------------------------
-
-    def _candidates(self, k):
-        """Dominant weights that can occur at depth k, by increasing height gap."""
+    def _affine_roots(self, m):
+        """The positive affine roots beta + m delta, as table rows."""
         d = self.datum
-        top = tuple(h + k * t for h, t in zip(self.highest, d.theta_labels))
-        bound = self._top_norm + 2 * k * self._kappa * d.denominator
-        return tuple(nu for nu, _ in dominant_below(d, top, bound))
+        theta = d.highest_root
+        rows = [
+            (tuple(s * x for x in lab), (m,) + tuple(m * t + s * b for t, b in zip(theta, beta)), 1)
+            for s in ((1, -1) if m else (1,))
+            for lab, beta in zip(d.positive_root_labels, d.positive_roots)
+        ]
+        if m:  # the imaginary root, of multiplicity rank
+            rows.append(((0,) * d.rank, (m,) + tuple(m * t for t in theta), d.rank))
+        return rows
 
     # -- multiplicities -------------------------------------------------
 
@@ -80,60 +91,39 @@ class GradedModule:
         lab, _, shift = folded
         return self._mult.get((lab, depth - shift), 0)
 
-    def _freudenthal(self, nu, k):
+    def _freudenthal(self, nu, gap):
         d = self.datum
-        norm_nu = d.rho_norm(nu)
-        bound = self._top_norm + 2 * k * self._kappa * d.denominator
-        num = bound - norm_nu
+        k = gap[0]
+        num = self._top_norm + 2 * k * self._kappa * d.denominator - d.rho_norm(nu)
         if num <= 0:
             raise InvariantError(f"affine Freudenthal at {nu}, depth {k}: norm gap {num}")
-        total = 0
-
-        # real roots at displacement zero: positive roots, arbitrary step j
-        for beta in d.positive_root_labels:
-            q_prev = norm_nu
-            j = 1
-            while True:
-                w = tuple(x + j * b for x, b in zip(nu, beta))
-                m = self.multiplicity(w, k)
-                if m:
-                    total += m * d.scaled_ip(w, beta)
-                q = d.rho_norm(w)
-                if q > bound and q >= q_prev:
-                    break  # the norm is convex in j, so no weight lies further out
-                q_prev = q
-                j += 1
-
         ell_s = self.level * d.denominator
-        for m_im in range(1, k + 1):
-            # real roots m_im steps down: every finite root contributes
-            for beta in self._all_root_labels:
-                for j in range(1, k // m_im + 1):
-                    w = tuple(x + j * b for x, b in zip(nu, beta))
-                    m = self.multiplicity(w, k - j * m_im)
-                    if m:
-                        total += m * (d.scaled_ip(w, beta) + ell_s * m_im)
-            # imaginary roots carry multiplicity = rank and only shift the depth
-            for j in range(1, k // m_im + 1):
-                m = self.multiplicity(nu, k - j * m_im)
+        total = 0
+        for beta, coords, root_mult in self._roots:
+            m_im = coords[0]
+            for j in range(1, min(g // c for g, c in zip(gap, coords) if c > 0) + 1):
+                w = tuple(x + j * b for x, b in zip(nu, beta))
+                m = self.multiplicity(w, k - j * m_im)
                 if m:
-                    total += d.rank * m * ell_s * m_im
-
+                    total += root_mult * m * (d.scaled_ip(w, beta) + ell_s * m_im)
         mult, rem = divmod(2 * total, num)
         if rem or mult < 0:
             raise InvariantError(f"affine Freudenthal at {nu}, depth {k}: {2 * total}/{num}")
         return mult
 
     def _extend(self, depth):
+        d = self.datum
         for k in range(self._done + 1, depth + 1):
-            cands = self._candidates(k)
-            for nu in cands:
+            self._roots += self._affine_roots(k)
+            top = tuple(h + k * t for h, t in zip(self.highest, d.theta_labels))
+            cands = dominant_below(d, top, self._top_norm + 2 * k * self._kappa * d.denominator)
+            for nu, gap in cands:
                 if k == 0 and nu == self.highest:
                     continue  # seeded; its norm difference is zero
-                if self.datum.level_of(nu) > self.level:
+                if d.level_of(nu) > self.level:
                     continue  # reached through the reflection chain instead
-                self._mult[(nu, k)] = self._freudenthal(nu, k)
-            self._dims.append(sum(self.multiplicity(nu, k) * self.datum.orbit_size(nu) for nu in cands))
+                self._mult[(nu, k)] = self._freudenthal(nu, (k,) + gap)
+            self._dims.append(sum(self.multiplicity(nu, k) * d.orbit_size(nu) for nu, _ in cands))
             self._done = k
 
     def graded_dims(self, depth: int) -> tuple:
@@ -281,8 +271,8 @@ def _convolve(a, b, depth):
 
 def verify_branching(claim: BranchingClaim, depth: int) -> BranchingReport:
     """Compare ambient graded dimensions with the sum over claimed summands."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    if not 0 <= depth <= MAX_BRANCH_DEPTH:
+        raise ValueError(f"depth {depth} is not between 0 and the cap {MAX_BRANCH_DEPTH}")
     amb_alg, amb_level, amb_w = claim.ambient
     ambient = graded_dims(amb_alg, amb_level, amb_w, depth)
     tables = []

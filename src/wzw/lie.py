@@ -72,9 +72,12 @@ class LieAlgebraId:
     @staticmethod
     def from_string(name: str) -> "LieAlgebraId":
         name = name.strip()
-        if len(name) < 2 or name[0].upper() not in _SERIES or not name[1:].isdigit():
+        if len(name) < 2 or name[0].upper() not in _SERIES or not name[1:].isdecimal():
             raise ValueError(f"cannot parse algebra name {name!r}")
-        return LieAlgebraId(name[0].upper(), int(name[1:]))
+        digits = name[1:].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_RANK)):  # refused before int() meets a huge string
+            raise ValueError(f"rank above the cap {MAX_RANK}")
+        return LieAlgebraId(name[0].upper(), int(digits))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"

@@ -88,6 +88,14 @@ def test_root_system_rank_cap(capsys):
     assert err == f"error: rank {lie.MAX_RANK + 1} is above the cap {lie.MAX_RANK}\n"
 
 
+def test_root_system_rank_with_thousands_of_digits(capsys):
+    code, out, err = run(capsys, "root-system", "--algebra", "A" + "9" * 5000, "--json")
+    assert (code, out, err) == (2, "", f"error: rank above the cap {lie.MAX_RANK}\n")
+    code, out, _ = run(capsys, "root-system", "--algebra", "A" + "0" * 5000 + "1", "--json")
+    assert code == 0
+    assert json.loads(out)["rank"] == 1
+
+
 def test_fusion_table_json(capsys):
     code, out, _ = run(capsys, "fusion", "--algebra", "F4", "--level", "1", "--json")
     doc = json.loads(out)
@@ -179,6 +187,19 @@ def test_branch_verify(capsys):
     assert code == 0
     assert doc["passed"] is True
     assert [r["ambient_dim"] for r in doc["rows"]] == [1, 248, 4124]
+
+
+def test_branch_verify_depth_cap(capsys):
+    from wzw.characters import MAX_BRANCH_DEPTH
+
+    code, out, err = run(capsys, "branch-verify", "--depth", str(MAX_BRANCH_DEPTH + 1), "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: depth {MAX_BRANCH_DEPTH + 1} is not between 0 and the cap {MAX_BRANCH_DEPTH}\n"
+    code, out, _ = run(capsys, "branch-verify", "--depth", str(MAX_BRANCH_DEPTH), "--json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["passed"] is True
+    assert len(doc["rows"]) == MAX_BRANCH_DEPTH + 1
 
 
 def test_correlator_cases(capsys):

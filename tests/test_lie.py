@@ -41,6 +41,20 @@ def test_rank_cap_refuses_before_building():
         LieAlgebraId.from_string(f"A{10**9}")  # an n x n Cartan matrix here would not fit in memory
 
 
+def test_rank_digits_are_counted_before_int():
+    # past the interpreter's integer-to-string limit int() itself would refuse, with its own message
+    with pytest.raises(ValueError, match=f"^rank above the cap {MAX_RANK}$"):
+        LieAlgebraId.from_string("A" + "9" * 5000)
+    with pytest.raises(ValueError, match=f"^rank above the cap {MAX_RANK}$"):
+        LieAlgebraId.from_string("B" + "1" * (len(str(MAX_RANK)) + 1))
+    assert LieAlgebraId.from_string("A" + "0" * 5000 + "1") == LieAlgebraId("A", 1)
+    assert LieAlgebraId.from_string(f"D00{MAX_RANK}").rank == MAX_RANK
+    with pytest.raises(ValueError, match="invalid simple type A0"):
+        LieAlgebraId.from_string("A" + "0" * 5000)
+    with pytest.raises(ValueError, match="cannot parse algebra name"):
+        LieAlgebraId.from_string("A²")  # a digit, but not a decimal one that int() reads
+
+
 def test_g2_cartan_matrix():
     # alpha_1 short: the 7-dim rep sits at omega_1
     d = build_root_datum(G2)
