@@ -259,7 +259,7 @@ class RootDatum:
 
     # -- Weyl group action -------------------------------------------------
 
-    def fold(self, labels: Labels, kappa=None, limit=None):
+    def fold(self, labels: Labels, kappa=None, limit=None, nodes=None):
         """Reflect a weight into the dominant chamber.
 
         With kappa, also reflect through the affine wall (x, theta) = kappa
@@ -267,12 +267,15 @@ class RootDatum:
         shift), where shift is the sum of (x, theta) - kappa over the affine
         reflections; returns None as soon as shift exceeds limit.  The wall
         tests after a fold (a zero label, level equal to kappa) live in
-        fold_sum.
+        fold_sum.  With nodes J, only the simple reflections s_j, j in J,
+        are used: the result is the J-dominant point of the W_J-orbit.
         """
         cols = self.cartan_cols
+        walls = range(len(labels)) if nodes is None else nodes
         lab, sign, shift = labels, 1, 0
         for _ in range(_FOLD_GUARD):
-            for i, c in enumerate(lab):
+            for i in walls:
+                c = lab[i]
                 if c < 0:
                     lab = tuple(x - c * y for x, y in zip(lab, cols[i]))
                     sign = -sign

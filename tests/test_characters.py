@@ -2,17 +2,20 @@
 
 Oracles: A1 level-one theta functions, the even unimodular rank-8 lattice
 theta series (r(m) = 240 sigma_3(m)), eta-quotient series inversion, the
-Weyl-Kac character formula summed over the scaled coroot lattice, and the
-three-loop form of the affine Freudenthal recursion.  All exact arithmetic,
-so comparisons are exact.
+Weyl-Kac character formula summed over the scaled coroot lattice, the
+three-loop form of the affine Freudenthal recursion, and a breadth-first walk
+of W_J over root labels for the orbit classes.  All exact arithmetic, so
+comparisons are exact.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
+from wzw import characters
 from wzw.characters import (
     MAX_BRANCH_DEPTH,
     GradedModule,
@@ -21,9 +24,10 @@ from wzw.characters import (
     graded_module,
     lattice_character_dims,
     lattice_shell_counts,
+    orbit_classes,
     verify_branching,
 )
-from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
+from wzw.lie import InvariantError, LieAlgebraId, RootDatum, build_root_datum
 
 A1 = LieAlgebraId("A", 1)
 G2 = LieAlgebraId("G", 2)
@@ -318,6 +322,13 @@ class _ReferenceModule(GradedModule):
         ("G2", 2, (0, 1), 4),
         ("F4", 1, (0, 0, 0, 1), 3),
         ("E8", 1, (0,) * 8, 5),
+        # mixed stabilizers, two root lengths, level 2
+        ("B3", 2, (0, 0, 1), 5),
+        ("C3", 2, (1, 0, 0), 5),
+        ("F4", 2, (0, 0, 0, 2), 3),
+        ("E6", 1, (1, 0, 0, 0, 0, 0), 4),
+        ("E7", 1, (0,) * 6 + (1,), 3),
+        ("E8", 2, (0,) * 8, 3),
     ],
 )
 def test_one_root_loop_matches_the_three_loop_recursion(name, level, lam, depth):
@@ -327,3 +338,65 @@ def test_one_root_loop_matches_the_three_loop_recursion(name, level, lam, depth)
     assert one_loop.graded_dims(depth) == reference.graded_dims(depth)
     assert one_loop._mult == reference._mult
     assert one_loop._dims == reference._dims
+
+
+# ----------------------------------------------------------------------------
+# orbit classes of roots against a breadth-first walk of W_J
+
+
+def _walk(labels, nodes, cols):
+    """W_J-orbit of a weight by breadth-first simple reflections s_j, j in J."""
+    seen, frontier = {labels}, [labels]
+    while frontier:
+        nxt = []
+        for lab in frontier:
+            for j in nodes:
+                img = tuple(x - lab[j] * y for x, y in zip(lab, cols[j]))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B3", "C3", "E8"])
+def test_orbit_classes_match_a_walk_of_the_parabolic_subgroup(name):
+    d = build_root_datum(LieAlgebraId.from_string(name))
+    positive = set(d.positive_root_labels)
+    roots = positive | {tuple(-x for x in lab) for lab in positive}
+    zero = (0,) * d.rank
+    for size in range(d.rank + 1):
+        for nodes in combinations(range(d.rank), size):
+            at_zero, at_positive = orbit_classes(d.algebra, nodes)
+            for classes, rows in ((at_zero, positive), (at_positive, roots | {zero})):
+                members = [frozenset(c[3]) for c in classes]
+                assert sum(map(len, members)) == len(rows) and frozenset().union(*members) == rows
+                for (mult, top, coords, _), group in zip(classes, members):
+                    assert d.root_labels(coords) == top and top in group
+                    assert all(top[j] >= 0 for j in nodes)  # the J-dominant member
+                    orbit = _walk(top, nodes, d.cartan_cols)
+                    if top == zero:
+                        assert (mult, group) == (d.rank, {zero})
+                    elif rows is positive:  # {gamma > 0 : +-gamma in W_J beta}
+                        assert group == {g for g in positive if g in orbit or tuple(-x for x in g) in orbit}
+                        assert mult == len(group)
+                    else:
+                        assert group == orbit and mult == len(group)
+
+
+def test_branching_to_depth_four_folds_at_most_1200_times(monkeypatch):
+    # fresh caches, so the count covers every module and every orbit class;
+    # monkeypatch puts the shared caches back afterwards
+    monkeypatch.setattr(characters, "graded_module", lru_cache(maxsize=None)(GradedModule))
+    monkeypatch.setattr(characters, "orbit_classes", lru_cache(maxsize=None)(orbit_classes.__wrapped__))
+    calls = []
+    fold = RootDatum.fold
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        return fold(self, *args, **kwargs)
+
+    monkeypatch.setattr(RootDatum, "fold", counted)
+    assert verify_branching(g2_f4_branching_claim(), 4).passed
+    # one fold per lookup outside the table and one per root under each J met
+    assert 0 < len(calls) <= 1200

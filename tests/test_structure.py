@@ -84,6 +84,15 @@ def test_fusion_leaves_the_fold_to_the_kernel():
     assert "tensor_decompose" not in names
 
 
+def test_characters_leave_the_parabolic_fold_to_the_kernel():
+    # the W_J-orbit classes of roots come from the one chamber fold in lie,
+    # not from reflections written out against the Cartan columns
+    tree = _tree("characters")
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "cartan_cols" not in names and "fold" in names
+
+
 def test_cli_and_package_import_heavy_modules_lazily():
     # module-level imports of these would load them in every cold CLI process
     lazy = {"smatrix", "correlator", "characters", "embeddings", "picard", "acceptance"}
