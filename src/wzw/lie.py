@@ -23,8 +23,12 @@ integers only; Fractions appear only in public return values such as ip, and
 there are no floats.  A failed internal check raises InvariantError, which
 stays active under python -O.
 
-One walk, dominant_weights, enumerates dominant weights under a monotone cost,
-and one routine, fold_sum, sums the signed chamber or alcove folds of weights.
+One walk, dominant_weights, enumerates dominant weights under a monotone cost;
+one routine, fold_sum, sums the signed chamber or alcove folds of weights; and
+one recursion, the affine Freudenthal step of GradedModule, gives every weight
+multiplicity: the shifted-norm difference multiplies the unknown, the right
+side sums over the positive affine roots, and the division is checked to be
+exact.  Finite weight systems are the depth-0 rows of that table.
 """
 
 from __future__ import annotations
@@ -158,13 +162,6 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
     return q
 
 
-def _parabolic_order(roots, nodes) -> int:
-    """|W_J| = prod (ht beta + 1) / ht beta over the positive roots beta supported
-    on the nodes J (Macdonald, Math. Ann. 199, 1972)."""
-    heights = [sum(beta) for beta in roots if all(i in nodes for i, b in enumerate(beta) if b)]
-    return _exact_quotient(math.prod(h + 1 for h in heights), math.prod(heights), f"|W_J| on {nodes}")
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """Root data of a simple Lie algebra; every field is computed by build_root_datum."""
@@ -175,7 +172,6 @@ class RootDatum:
     highest_root: RootCoords
     comarks: tuple  # dual marks a_i^vee = d_i * marks_i, ints
     dual_coxeter: int
-    weyl_order: int
     denominator: int  # D, the least common denominator of the form
     gram: tuple  # D (omega_i, omega_j), ints
     scaled_symmetrizer: tuple  # D d_i = D (alpha_i, omega_i), ints
@@ -194,6 +190,10 @@ class RootDatum:
     @property
     def dimension(self) -> int:
         return 2 * len(self.positive_roots) + self.rank
+
+    @property
+    def weyl_order(self) -> int:
+        return _parabolic_order(self.algebra, tuple(range(self.rank)))
 
     @property
     def marks(self) -> tuple:
@@ -319,8 +319,8 @@ class RootDatum:
 
     def orbit_size(self, dominant_labels: Labels) -> int:
         """|W x| = |W| / |W_J| for dominant x, with J the nodes where x has a zero label."""
-        zeros = {i for i, a in enumerate(dominant_labels) if a == 0}
-        return _exact_quotient(self.weyl_order, _parabolic_order(self.positive_roots, zeros), "|W| / |W_J|")
+        zeros = tuple(i for i, a in enumerate(dominant_labels) if a == 0)
+        return _exact_quotient(self.weyl_order, _parabolic_order(self.algebra, zeros), "|W| / |W_J|")
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +371,6 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
         highest_root=theta,
         comarks=comarks,
         dual_coxeter=dual_coxeter,
-        weyl_order=_parabolic_order(roots, range(n)),
         denominator=denom,
         gram=gram,
         scaled_symmetrizer=scaled_sym,
@@ -386,6 +385,15 @@ def build_root_datum(algebra: LieAlgebraId) -> RootDatum:
     if datum.scaled_ip_root(datum.theta_labels, theta) != 2 * denom:
         raise InvariantError(f"{algebra}: (theta, theta) != 2")
     return datum
+
+
+@lru_cache(maxsize=None)
+def _parabolic_order(algebra: LieAlgebraId, nodes: tuple) -> int:
+    """|W_J| = prod (ht beta + 1) / ht beta over the positive roots beta supported
+    on the nodes J (Macdonald, Math. Ann. 199, 1972)."""
+    roots = build_root_datum(algebra).positive_roots
+    heights = [sum(beta) for beta in roots if all(i in nodes for i, b in enumerate(beta) if b)]
+    return _exact_quotient(math.prod(h + 1 for h in heights), math.prod(heights), f"|W_J| on {nodes}")
 
 
 def _positive_root_closure(cartan_cols, n) -> dict:
@@ -467,37 +475,157 @@ def dominant_below(d: RootDatum, top: Labels, bound: int) -> list:
     return [(nu, c) for _, nu, c in rows]
 
 
-def _dominant_multiplicities(d: RootDatum, lam: Labels) -> dict:
-    """Freudenthal recursion, dominant weights only.
+@lru_cache(maxsize=None)
+def orbit_classes(algebra: LieAlgebraId, nodes: tuple) -> tuple:
+    """Positive affine roots beta + m delta summed over W_J-orbits, J = nodes.
 
-    Every dominant mu <= lam has |mu + rho| <= |lam + rho|, so the norm ball
-    of lam + rho holds them all.  Weights whose coefficient box
-    c <= A^{-1} lam has more than MAX_WEIGHT_BOX points are refused.
+    Returns the classes at m = 0 (the positive roots) and at every m >= 1
+    (every root, and the imaginary root of multiplicity rank, alone), each
+    class as (summed multiplicity, labels and simple-root coordinates of its
+    J-dominant member, labels of its members).  A row joins the class of the
+    J-dominant labels of beta, which the chamber fold over J finds.  W_J
+    moves a root only along the simple roots in J, so rows of one class
+    that differ in a coordinate outside J are an error.
     """
-    box = math.prod(
-        sum(g * x for g, x in zip(row, lam)) // s + 1 for row, s in zip(d.gram, d.scaled_symmetrizer)
-    )
-    if box > MAX_WEIGHT_BOX:
-        raise ValueError("weight system too large for exact enumeration")
-    norm_top = d.rho_norm(lam)
-    roots = tuple(zip(d.positive_roots, d.positive_root_labels))
-    mult: dict = {}
-    for mu, rc in dominant_below(d, lam, norm_top):
-        if not any(rc):
-            mult[mu] = 1
-            continue
-        rhs = 0
-        for beta, beta_labels in roots:
-            jmax = min(rc[i] // b for i, b in enumerate(beta) if b)
-            for j in range(1, jmax + 1):
-                nu = tuple(m + j * b for m, b in zip(mu, beta_labels))
-                m2 = mult.get(d.dominant(nu))
-                if m2:
-                    rhs += m2 * d.scaled_ip_root(nu, beta)
-        value = _exact_quotient(2 * rhs, norm_top - d.rho_norm(mu), f"multiplicity of {mu} in {lam}")
-        if value:
-            mult[mu] = value
-    return mult
+    d = build_root_datum(algebra)
+    zero = (0,) * d.rank
+    positive = [(lab, beta, 1) for lab, beta in zip(d.positive_root_labels, d.positive_roots)]
+    negative = [(tuple(-x for x in lab), tuple(-b for b in beta), 1) for lab, beta, _ in positive]
+    tops = {zero: zero}
+    outside = [i for i in range(d.rank) if i not in nodes]
+    out = []
+    for rows in (positive, positive + negative + [(zero, zero, d.rank)]):
+        classes: dict = {}
+        for lab, beta, root_mult in rows:
+            if lab not in tops:
+                tops[lab] = d.fold(lab, nodes=nodes)[0]
+            fixed = tuple(beta[i] for i in outside)
+            cls = classes.setdefault(tops[lab], [0, None, None, [], fixed])
+            if fixed != cls[4]:
+                raise InvariantError(f"orbit class of {lab} on {nodes}: coordinates {fixed} != {cls[4]}")
+            cls[0] += root_mult
+            cls[3].append(lab)
+            if lab == tops[lab]:
+                cls[1], cls[2] = lab, beta
+        if any(cls[1] is None for cls in classes.values()):
+            raise InvariantError(f"an orbit class on {nodes} has no J-dominant row")
+        out.append(tuple((c[0], c[1], c[2], tuple(c[3])) for c in classes.values()))
+    return tuple(out)
+
+
+class GradedModule:
+    """Weight multiplicity table of one integrable highest-weight module.
+
+    Rows are filled a depth at a time.  The candidates at depth k are the
+    dominant weights below highest + k*theta in the norm ball that the
+    affine Freudenthal denominator allows (dominant_below), processed by
+    increasing height of highest + k*theta - nu, so every same-depth lookup
+    lands on an entry that already exists.  Over alpha_0 = delta - theta,
+    alpha_1 .. alpha_r, a weight nu at depth k lies below the highest weight
+    by the gap (k, coordinates of highest + k*theta - nu) >= 0, and the root
+    beta + m delta has the coordinates (m, m*theta + beta).  Each root is
+    stepped while it fits in the gap; every term skipped is zero.
+
+    The recursion sums over orbit classes of roots, not over single roots
+    (Moody and Patera, Bull. AMS 7, 1982, 237).  Let J be the nodes where nu
+    has label 0.  W_J fixes nu and preserves the multiplicities of every
+    depth and (nu + j beta, beta), so the term of beta + m delta is the same
+    on its W_J-orbit at the same m.  At m = 0 only positive roots enter; W_J
+    keeps the positive roots outside the span of J positive, and on a root
+    inside it (nu, beta) = 0, so beta and -beta give the same term and a
+    class holds the positive roots of an orbit closed under negation.  Each
+    class (orbit_classes) is stepped once, from its J-dominant member, the
+    highest, whose j-range is the shortest, and weighted by its summed
+    multiplicity.  A finished row also fixes its graded dimension
+    (multiplicities times Weyl-orbit sizes), which queries read.
+    """
+
+    def __init__(self, algebra: LieAlgebraId, level: int, highest: Weight):
+        if level < 1:
+            raise ValueError("level must be a positive integer")
+        if highest.algebra != algebra:
+            raise ValueError(f"{highest} does not belong to {algebra}")
+        d = build_root_datum(algebra)
+        if not highest.is_dominant() or d.level_of(highest.labels) > level:
+            raise ValueError(f"{highest} is not integrable at level {level}")
+        self.algebra = algebra
+        self.level = level
+        self.highest = tuple(int(x) for x in highest.labels)
+        self.datum = d
+        self._kappa = level + d.dual_coxeter
+        self._top_norm = d.rho_norm(self.highest)
+        self._mult = {(self.highest, 0): 1}
+        self._dims: list = []  # graded dimension of each finished depth
+        self._done = -1
+
+    # -- multiplicities -------------------------------------------------
+
+    def multiplicity(self, labels, depth: int) -> int:
+        """Multiplicity of a weight at the given depth; 0 when absent.
+
+        A table entry is dominant within the level and would fold to itself,
+        so it is read without a fold.  Weights beyond the level boundary are
+        folded back by the affine reflection through theta, which lands at a
+        strictly smaller depth; the fold stops as soon as the depth would go
+        negative.
+        """
+        if depth < 0:
+            return 0
+        labels = tuple(labels)
+        known = self._mult.get((labels, depth))
+        if known is not None:
+            return known
+        folded = self.datum.fold(labels, self.level, depth)
+        if folded is None:
+            return 0
+        lab, _, shift = folded
+        return self._mult.get((lab, depth - shift), 0)
+
+    def _freudenthal(self, nu, gap):
+        d = self.datum
+        k = gap[0]
+        num = self._top_norm + 2 * k * self._kappa * d.denominator - d.rho_norm(nu)
+        if num <= 0:
+            raise InvariantError(f"affine Freudenthal at {nu}, depth {k}: norm gap {num}")
+        ell_s = self.level * d.denominator
+        total = 0
+        at_zero, at_positive = orbit_classes(self.algebra, tuple(i for i, a in enumerate(nu) if a == 0))
+        for m_im in range(k + 1):
+            for class_mult, beta, root, _ in at_positive if m_im else at_zero:
+                coords = (m_im,) + tuple(m_im * t + b for t, b in zip(d.highest_root, root))
+                for j in range(1, min(g // c for g, c in zip(gap, coords) if c > 0) + 1):
+                    w = tuple(x + j * b for x, b in zip(nu, beta))
+                    m = self.multiplicity(w, k - j * m_im)
+                    if m:
+                        total += class_mult * m * (d.scaled_ip(w, beta) + ell_s * m_im)
+        mult, rem = divmod(2 * total, num)
+        if rem or mult < 0:
+            raise InvariantError(f"affine Freudenthal at {nu}, depth {k}: {2 * total}/{num}")
+        return mult
+
+    def _extend(self, depth):
+        d = self.datum
+        for k in range(self._done + 1, depth + 1):
+            top = tuple(h + k * t for h, t in zip(self.highest, d.theta_labels))
+            cands = dominant_below(d, top, self._top_norm + 2 * k * self._kappa * d.denominator)
+            for nu, gap in cands:
+                if k == 0 and nu == self.highest:
+                    continue  # seeded; its norm difference is zero
+                if d.level_of(nu) > self.level:
+                    continue  # reached through the reflection chain instead
+                self._mult[(nu, k)] = self._freudenthal(nu, (k,) + gap)
+            self._dims.append(sum(self.multiplicity(nu, k) * d.orbit_size(nu) for nu, _ in cands))
+            self._done = k
+
+    def graded_dims(self, depth: int) -> tuple:
+        """Dimensions of the depth-0 .. depth weight spaces."""
+        self._extend(depth)
+        return tuple(self._dims[: depth + 1])
+
+
+@lru_cache(maxsize=None)
+def graded_module(algebra: LieAlgebraId, level: int, highest: Weight) -> GradedModule:
+    return GradedModule(algebra, level, highest)
 
 
 @dataclass(frozen=True)
@@ -512,12 +640,18 @@ class WeightSystem:
 
 @lru_cache(maxsize=None)
 def weight_system_cached(algebra: LieAlgebraId, lam: Labels):
+    """Weyl-orbit closure of the depth-0 rows of L(lam) at level max(1, (lam, theta)),
+    which hold every dominant mu <= lam.  Weights whose coefficient box c <= A^{-1} lam
+    has more than MAX_WEIGHT_BOX points are refused before any module is built."""
     d = build_root_datum(algebra)
-    full = {}
-    for mu, m in _dominant_multiplicities(d, lam).items():
-        for w in d.weyl_orbit(mu):
-            full[w] = m
-    return full
+    box = math.prod(
+        sum(g * x for g, x in zip(row, lam)) // s + 1 for row, s in zip(d.gram, d.scaled_symmetrizer)
+    )
+    if box > MAX_WEIGHT_BOX:
+        raise ValueError("weight system too large for exact enumeration")
+    module = graded_module(algebra, max(1, d.level_of(lam)), d.weight(lam))
+    module.graded_dims(0)
+    return {w: m for (mu, k), m in module._mult.items() if k == 0 and m for w in d.weyl_orbit(mu)}
 
 
 def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:

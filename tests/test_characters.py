@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 import pytest
 
-from wzw import characters
+from wzw import characters, lie
 from wzw.characters import (
     MAX_BRANCH_DEPTH,
     GradedModule,
@@ -386,9 +386,10 @@ def test_orbit_classes_match_a_walk_of_the_parabolic_subgroup(name):
 
 def test_branching_to_depth_four_folds_at_most_1200_times(monkeypatch):
     # fresh caches, so the count covers every module and every orbit class;
-    # monkeypatch puts the shared caches back afterwards
+    # the recursion in lie looks the orbit classes up there, and monkeypatch
+    # puts the shared caches back afterwards
     monkeypatch.setattr(characters, "graded_module", lru_cache(maxsize=None)(GradedModule))
-    monkeypatch.setattr(characters, "orbit_classes", lru_cache(maxsize=None)(orbit_classes.__wrapped__))
+    monkeypatch.setattr(lie, "orbit_classes", lru_cache(maxsize=None)(orbit_classes.__wrapped__))
     calls = []
     fold = RootDatum.fold
 
@@ -400,3 +401,19 @@ def test_branching_to_depth_four_folds_at_most_1200_times(monkeypatch):
     assert verify_branching(g2_f4_branching_claim(), 4).passed
     # one fold per lookup outside the table and one per root under each J met
     assert 0 < len(calls) <= 1200
+
+
+def test_branching_to_depth_four_computes_each_parabolic_order_once(monkeypatch):
+    # |W_J| is cached per algebra and zero-label set J, so orbit_size, called
+    # for every candidate weight, runs the height product once per J
+    computed = []
+    order = lie._parabolic_order.__wrapped__
+
+    def counted(algebra, nodes):
+        computed.append((algebra, nodes))
+        return order(algebra, nodes)
+
+    monkeypatch.setattr(characters, "graded_module", lru_cache(maxsize=None)(GradedModule))
+    monkeypatch.setattr(lie, "_parabolic_order", lru_cache(maxsize=None)(counted))
+    assert verify_branching(g2_f4_branching_claim(), 4).passed
+    assert computed and len(computed) == len(set(computed))

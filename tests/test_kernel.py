@@ -1,11 +1,12 @@
 """The integer kernel of RootDatum against independent routes.
 
 Each test recomputes a quantity without the datum's integer Gram matrix,
-chamber fold, orbit walker or dominant-weight walk (from a Fraction inverse
-of the Cartan matrix and a Fraction symmetrizer table, both kept here as the
-oracle since the library uses neither; a hand-written fold taking a
-different reflection path, a walk over root coefficients instead of labels,
-or a filter over a full label box) and compares.
+chamber fold, orbit walker, dominant-weight walk or affine recursion (from a
+Fraction inverse of the Cartan matrix and a Fraction symmetrizer table, both
+kept here as the oracle since the library uses neither; a hand-written fold
+taking a different reflection path, a walk over root coefficients instead of
+labels, a filter over a full label box, or the finite Freudenthal recursion
+over every positive root) and compares.
 """
 
 import itertools
@@ -19,11 +20,16 @@ from hypothesis import strategies as st
 
 from wzw.characters import graded_module
 from wzw.lie import (
+    MAX_WEIGHT_BOX,
+    Labels,
     LieAlgebraId,
+    RootDatum,
+    _exact_quotient,
     build_root_datum,
     dominant_below,
     freudenthal_weights,
     level_weights,
+    weight_system_cached,
     weyl_dimension,
 )
 
@@ -282,3 +288,71 @@ def test_weight_just_over_the_box_bound_is_refused():
     assert 2_000_000 < math.prod(b + 1 for b in coefficient_box(d, lam)) < 2_100_000
     with pytest.raises(ValueError, match="too large for exact enumeration"):
         freudenthal_weights(d, d.weight(lam))
+
+
+def test_refused_weight_builds_no_graded_module():
+    d = build_root_datum(E8)
+    before = graded_module.cache_info().currsize
+    with pytest.raises(ValueError, match="too large for exact enumeration"):
+        freudenthal_weights(d, d.fundamental_weight(1))
+    assert graded_module.cache_info().currsize == before
+
+
+def _reference_dominant_multiplicities(d: RootDatum, lam: Labels) -> dict:
+    """Freudenthal recursion, dominant weights only.
+
+    Every dominant mu <= lam has |mu + rho| <= |lam + rho|, so the norm ball
+    of lam + rho holds them all.  Weights whose coefficient box
+    c <= A^{-1} lam has more than MAX_WEIGHT_BOX points are refused.
+    """
+    box = math.prod(
+        sum(g * x for g, x in zip(row, lam)) // s + 1 for row, s in zip(d.gram, d.scaled_symmetrizer)
+    )
+    if box > MAX_WEIGHT_BOX:
+        raise ValueError("weight system too large for exact enumeration")
+    norm_top = d.rho_norm(lam)
+    roots = tuple(zip(d.positive_roots, d.positive_root_labels))
+    mult: dict = {}
+    for mu, rc in dominant_below(d, lam, norm_top):
+        if not any(rc):
+            mult[mu] = 1
+            continue
+        rhs = 0
+        for beta, beta_labels in roots:
+            jmax = min(rc[i] // b for i, b in enumerate(beta) if b)
+            for j in range(1, jmax + 1):
+                nu = tuple(m + j * b for m, b in zip(mu, beta_labels))
+                m2 = mult.get(d.dominant(nu))
+                if m2:
+                    rhs += m2 * d.scaled_ip_root(nu, beta)
+        value = _exact_quotient(2 * rhs, norm_top - d.rho_norm(mu), f"multiplicity of {mu} in {lam}")
+        if value:
+            mult[mu] = value
+    return mult
+
+
+REFERENCE_LABEL_SUMS = {"G2": 3, "F4": 3, "B3": 3, "C3": 3, "A3": 3, "D4": 2, "E6": 1, "E7": 1, "E8": 1}
+
+
+def _reference_grid(name):
+    """Weights of label sum at most REFERENCE_LABEL_SUMS[name] inside the box."""
+    d = build_root_datum(LieAlgebraId.from_string(name))
+    top = REFERENCE_LABEL_SUMS[name]
+    return [
+        lam
+        for lam in itertools.product(range(top + 1), repeat=d.rank)
+        if sum(lam) <= top and math.prod(b + 1 for b in coefficient_box(d, lam)) <= MAX_WEIGHT_BOX
+    ]
+
+
+def test_reference_grid_holds_137_weights():
+    assert sum(len(_reference_grid(name)) for name in REFERENCE_LABEL_SUMS) == 137
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_LABEL_SUMS))
+def test_depth_zero_rows_match_the_finite_freudenthal_recursion(name):
+    # the dominant part of a weight system is the depth-0 rows of the affine table
+    d = build_root_datum(LieAlgebraId.from_string(name))
+    for lam in _reference_grid(name):
+        rows = {mu: m for mu, m in weight_system_cached(d.algebra, lam).items() if min(mu) >= 0}
+        assert rows == _reference_dominant_multiplicities(d, lam), lam

@@ -85,12 +85,29 @@ def test_fusion_leaves_the_fold_to_the_kernel():
 
 
 def test_characters_leave_the_parabolic_fold_to_the_kernel():
-    # the W_J-orbit classes of roots come from the one chamber fold in lie,
-    # not from reflections written out against the Cartan columns
-    tree = _tree("characters")
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    # the W_J-orbit classes of roots live in lie and come from its one chamber
+    # fold, not from reflections written out against the Cartan columns
+    defs = {n.name: n for n in _tree("lie").body if isinstance(n, ast.FunctionDef)}
+    names = {n.id for n in ast.walk(defs["orbit_classes"]) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(defs["orbit_classes"]) if isinstance(n, ast.Attribute)}
     assert "cartan_cols" not in names and "fold" in names
+    tree = _tree("characters")
+    assert not any(isinstance(n, ast.FunctionDef) and n.name == "orbit_classes" for n in ast.walk(tree))
+    assert "fold" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_one_freudenthal_recursion():
+    # finite weight systems are the depth-0 rows of the affine table, so the
+    # package defines one Freudenthal step and no finite-only recursion
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    assert not any("_dominant_multiplicities" in text for text in sources)
+    steps = [
+        node
+        for text in sources
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and node.name == "_freudenthal"
+    ]
+    assert len(steps) == 1
 
 
 def test_cli_and_package_import_heavy_modules_lazily():
