@@ -26,10 +26,10 @@ rejected, matching the declared symbol set.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 
@@ -184,6 +184,8 @@ class Poly:
 
 _ZERO = Poly()
 _ONE = Poly.const(1)
+# undeclared pairings read one shared Poly per name: no Poly changes once built
+_symbol = lru_cache(maxsize=None)(Poly.symbol)
 
 
 # ----------------------------------------------------------------------------
@@ -227,55 +229,35 @@ def _depth(word) -> int:
 class PairingEnv:
     """Declared pairing data: root-vector pairings, Cartan evaluations, the level.
 
-    Undeclared values fall back to deterministic symbols: <X+r, X-r> becomes
-    x<r>, r(H) becomes <r><H>, <H, H'> concatenates the sorted names.  The
-    root Gram matrix defaults to (r, r) = 2 and 0 for distinct symbols.
+    Undeclared values read as shared symbols and are never stored here:
+    <X+r, X-r> is x<r>, r(H) is <r><H>, <H, H'> concatenates the sorted
+    names.  Fixed root rule: (r, r) = 2, distinct root symbols orthogonal.
     """
 
-    def __init__(self, level: int = 1, xpair=None, cartan_values=None, cartan_gram=None, root_gram=None):
+    def __init__(self, level: int = 1, xpair=None, cartan_values=None):
         if not isinstance(level, int) or level < 0:
             raise ValueError("level must be a nonnegative integer")
         self.level = level
         self.xpair = {k: Poly._coerce(v) for k, v in (xpair or {}).items()}
         self.cartan_values = {k: Poly._coerce(v) for k, v in (cartan_values or {}).items()}
-        self.cartan_gram = {tuple(sorted(k)): Poly._coerce(v) for k, v in (cartan_gram or {}).items()}
-        self.root_gram = {tuple(sorted(k)): Fraction(v) for k, v in (root_gram or {}).items()}
 
     def xpair_value(self, root: str) -> Poly:
         val = self.xpair.get(root)
-        if val is None:
-            val = Poly.symbol(f"x{root}")
-            self.xpair[root] = val
-        return val
-
-    def root_ip(self, r1: str, r2: str) -> Fraction:
-        return self.root_gram.get(tuple(sorted((r1, r2))), Fraction(2 if r1 == r2 else 0))
+        return _symbol(f"x{root}") if val is None else val
 
     def root_on_cartan(self, root: str, cartan_data: tuple) -> Poly:
         tag, label = cartan_data
         if tag == "root":
-            return self.xpair_value(label) * self.root_ip(root, label)
+            return self.xpair_value(label) * (2 if root == label else 0)
         val = self.cartan_values.get((root, label))
-        if val is None:
-            val = Poly.symbol(f"{root}{label}")
-            self.cartan_values[(root, label)] = val
-        return val
+        return _symbol(f"{root}{label}") if val is None else val
 
     def cartan_pair(self, d1: tuple, d2: tuple) -> Poly:
-        t1, l1 = d1
-        t2, l2 = d2
-        if t1 == "root" and t2 == "root":
-            return self.xpair_value(l1) * self.xpair_value(l2) * self.root_ip(l1, l2)
-        if t1 == "root":
-            return self.xpair_value(l1) * self.root_on_cartan(l1, d2)
-        if t2 == "root":
-            return self.xpair_value(l2) * self.root_on_cartan(l2, d1)
-        key = tuple(sorted((l1, l2)))
-        val = self.cartan_gram.get(key)
-        if val is None:
-            val = Poly.symbol("".join(key))
-            self.cartan_gram[key] = val
-        return val
+        """<d1, d2>: a bracket element H_r = [X+r, X-r] on either side gives x_r r(other)."""
+        for (tag, label), other in ((d1, d2), (d2, d1)):
+            if tag == "root":
+                return self.xpair_value(label) * self.root_on_cartan(label, other)
+        return _symbol("".join(sorted((d1[1], d2[1]))))
 
 
 def apply_bracket(a: ModeOp, b: ModeOp, env: PairingEnv):
@@ -424,13 +406,6 @@ def _normalize_word(word, env):
     return out
 
 
-def _binom(n: int, k: int) -> Fraction:
-    num = 1
-    for t in range(k):
-        num *= n - t
-    return Fraction(num, math.factorial(k))
-
-
 # xi_i^n in the coordinate t of slot j is sign * t^shift * (1 + s*t)^e;
 # (i, j) -> n -> (sign, shift, s, e)
 _INSERTION_RULES = {
@@ -454,11 +429,12 @@ def _insertion_modes(i: int, j: int, n: int, max_mode: int):
     if rule is None:
         raise ValueError(f"bad slot pair ({i}, {j})")
     sign, shift, s, e = rule(n)
-    out = []
+    out, c = [], sign  # c = sign * binom(e, k) * s^k, an integer: each division is exact
     for k in range(max_mode - shift + 1):
-        c = sign * _binom(e, k) * s**k
-        if c:
-            out.append((shift + k, c))
+        if not c:  # e >= 0 and k > e: every later binomial vanishes too
+            break
+        out.append((shift + k, c))
+        c = c * s * (e - k) // (k + 1)
     return out
 
 
@@ -546,8 +522,8 @@ def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget:
 # ----------------------------------------------------------------------------
 # the script language
 
-# Cap on the operators of one script, a bound on time: X+a(0) followed by 199
-# H(-1) answers in about 0.08 s on a 2-vCPU Linux container.
+# Cap on the operators of one script.  It bounds the parse, not the time of a
+# reduction, which grows fast with the operators, their modes and the level.
 MAX_SCRIPT_OPERATORS = 200
 
 _TERM_RE = re.compile(r"^(?:X([+-])([A-Za-z][A-Za-z0-9_]*)|H)\((-?\d+)\)$")

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzw.correlator import (
+    _INSERTION_RULES,
     CorrelatorState,
     ModeOp,
     PairingEnv,
     Poly,
     ReductionBudgetExceeded,
     _accumulate,
+    _insertion_modes,
     _push,
     apply_bracket,
     cartan_mode,
@@ -164,8 +166,77 @@ def test_env_validation():
         PairingEnv(level=Fraction(1, 2))
 
 
+def test_reduction_stores_no_fallback_symbol():
+    # undeclared pairings read as shared symbols; the env keeps only what was declared
+    for build in (case_opposite_pair, case_cartan_insertion):
+        env = PairingEnv(level=2)
+        assert reduce_state(build(), env)
+        assert env.xpair == {}
+        assert env.cartan_values == {}
+
+
+def test_reduction_leaves_declared_pairings_unchanged():
+    env = PairingEnv(level=1, xpair={"a": Fraction(1, 2)}, cartan_values={("b", "H"): 3})
+    state = case_opposite_pair("a") + case_cartan_insertion("b") + case_opposite_pair("c")
+    assert reduce_state(state, env) == Poly.symbol("xb") * 3 - Poly.symbol("xc") - Fraction(1, 2)
+    assert env.xpair == {"a": Poly.const(Fraction(1, 2))}
+    assert env.cartan_values == {("b", "H"): Poly.const(3)}
+
+
+@pytest.mark.parametrize(
+    "d1, d2, expected",
+    [
+        (("root", "a"), ("root", "a"), Poly({("xa", "xa"): 2})),
+        (("root", "a"), ("root", "b"), Poly()),
+        (("root", "a"), ("name", "H"), Poly({("aH", "xa"): 1})),
+        (("name", "K"), ("name", "H"), Poly.symbol("HK")),
+    ],
+    ids=["root-root-same", "root-root-distinct", "root-named", "named-named"],
+)
+def test_cartan_pair_is_symmetric_with_fallback_symbols(d1, d2, expected):
+    env = PairingEnv(level=3)
+    assert env.cartan_pair(d1, d2) == expected
+    assert env.cartan_pair(d2, d1) == expected
+
+
+def test_cartan_pair_reads_declared_values():
+    env = PairingEnv(xpair={"a": Fraction(1, 2)}, cartan_values={("a", "H"): 3})
+    assert env.cartan_pair(("name", "H"), ("root", "a")) == Fraction(3, 2)
+    assert env.cartan_pair(("root", "a"), ("root", "a")) == Fraction(1, 2)
+
+
 # ---------------------------------------------------------------------------
 # gauge moves
+
+
+def _reference_binom(n: int, k: int) -> Fraction:
+    num = 1
+    for t in range(k):
+        num *= n - t
+    return Fraction(num, math.factorial(k))
+
+
+def _reference_insertion_modes(i, j, n, max_mode):
+    """The Ward coefficients with every binomial built from scratch."""
+    sign, shift, s, e = _INSERTION_RULES[(i, j)](n)
+    out = []
+    for k in range(max_mode - shift + 1):
+        c = sign * _reference_binom(e, k) * s**k
+        if c:
+            out.append((shift + k, c))
+    return out
+
+
+@pytest.mark.parametrize("i, j", sorted(_INSERTION_RULES))
+def test_insertion_modes_match_the_binomial_formula(i, j):
+    for n in range(-12, 1):
+        for cap in range(16):
+            assert _insertion_modes(i, j, n, cap) == _reference_insertion_modes(i, j, n, cap), (n, cap)
+
+
+def test_insertion_modes_reject_a_bad_slot_pair():
+    with pytest.raises(ValueError):
+        _insertion_modes(1, 1, -1, 3)
 
 
 def test_gauge_move_validates_leading_operator():

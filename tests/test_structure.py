@@ -134,6 +134,29 @@ def test_correlator_engine_is_iterative():
         assert name not in names, name
 
 
+def test_correlator_pairings_are_read_only():
+    # fallback symbols come from one module-level cache and Ward coefficients
+    # from one running product, so the env holds only what was declared
+    tree = _tree("correlator")
+    assert "_binom" not in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "math" not in imported
+    env = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "PairingEnv")
+    writes = []
+    for fn in env.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
+                base = node
+                while isinstance(base, (ast.Attribute, ast.Subscript)):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id == "self":
+                    writes.append(f"{fn.name}:{node.lineno}")
+    assert writes == []
+
+
 def test_root_datum_is_built_in_integers():
     # the Gram matrix comes from the Killing sum over the positive roots; the
     # Fraction inverse of the Cartan matrix lives only in the tests, as an oracle
