@@ -19,9 +19,10 @@ term, whose coefficient is the result.  Normal ordering is one iterative
 push of a nonnegative mode across a word of negative modes.
 
 Scalars are polynomials in declared pairing symbols; the central element
-acts by the integer level.  The bracket closes over one root direction at a
-time plus the Cartan symbols: crossing two distinct root symbols is
-rejected, matching the declared symbol set.
+acts by the integer level.  Coefficients are exact integers, and Fractions
+only where a declared pairing is a non-integer rational.  The bracket
+closes over one root direction at a time plus the Cartan symbols: crossing
+two distinct root symbols is rejected, matching the declared symbol set.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 
 class ReductionBudgetExceeded(RuntimeError):
@@ -55,7 +57,8 @@ class Poly:
     """Polynomial over the rationals in named commuting symbols.
 
     Monomials are stored as sorted tuples of symbol names, with repetition
-    recording the power; the empty tuple is the constant term.
+    recording the power; the empty tuple is the constant term.  A coefficient
+    is stored as an int when it is integral on entry, else as a Fraction.
     """
 
     __slots__ = ("terms",)
@@ -64,15 +67,16 @@ class Poly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                _accumulate(self.terms, tuple(sorted(mono)), Fraction(c))
+                c = Fraction(c)
+                _accumulate(self.terms, tuple(sorted(mono)), c.numerator if c.denominator == 1 else c)
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls({(): Fraction(value)})
+        return cls({(): value})
 
     @classmethod
     def symbol(cls, name: str) -> "Poly":
-        return cls({(name,): Fraction(1)})
+        return cls({(name,): 1})
 
     @staticmethod
     def _coerce(other) -> "Poly":
@@ -113,6 +117,8 @@ class Poly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, int):
+            return self.scaled(other)
         other = self._coerce(other)
         out = {}
         for m1, c1 in self.terms.items():
@@ -123,6 +129,13 @@ class Poly:
         return p
 
     __rmul__ = __mul__
+
+    def scaled(self, k: int) -> "Poly":
+        """k * self for an integer k."""
+        p = Poly()
+        if k:
+            p.terms = {mono: k * c for mono, c in self.terms.items()}
+        return p
 
     def substitute(self, values: dict) -> "Poly":
         """Replace symbols by rationals or other polynomials."""
@@ -145,7 +158,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if set(self.terms) - {()}:
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def _sorted(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -184,6 +197,7 @@ class Poly:
 
 _ZERO = Poly()
 _ONE = Poly.const(1)
+_MINUS_ONE = Poly.const(-1)
 # undeclared pairings read one shared Poly per name: no Poly changes once built
 _symbol = lru_cache(maxsize=None)(Poly.symbol)
 
@@ -192,13 +206,12 @@ _symbol = lru_cache(maxsize=None)(Poly.symbol)
 # mode operators and pairing data
 
 
-@dataclass(frozen=True)
-class ModeOp:
+class ModeOp(NamedTuple):
     """One current mode: a root vector X(+/-)r(n) or a Cartan element h(n).
 
     data is (root, sign) for kind "x"; for kind "h" it is ("name", label)
     for a declared Cartan symbol or ("root", r) for the bracket element
-    [X+r, X-r].
+    [X+r, X-r].  A named tuple, so words of modes hash and compare in C.
     """
 
     kind: str
@@ -273,7 +286,7 @@ def apply_bracket(a: ModeOp, b: ModeOp, env: PairingEnv):
             raise ValueError(f"bracket crosses distinct root symbols {ra!r} and {rb!r}")
         if sa == sb:
             return []
-        out = [(Poly.const(1 if sa == "+" else -1), ModeOp("h", ("root", ra), m + n))]
+        out = [(_ONE if sa == "+" else _MINUS_ONE, ModeOp("h", ("root", ra), m + n))]
         if m + n == 0 and m != 0:
             out.append((env.xpair_value(ra) * (m * env.level), None))
         return out
@@ -459,7 +472,7 @@ def _gauge_step(slots, i, env):
                 new = list(slots)
                 new[i] = rest_i
                 new[j] = wj
-                _accumulate(out, tuple(new), Poly.const(-c) * c2)
+                _accumulate(out, tuple(new), c2.scaled(-c))
     return out
 
 

@@ -476,41 +476,45 @@ def dominant_below(d: RootDatum, top: Labels, bound: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def orbit_classes(algebra: LieAlgebraId, nodes: tuple) -> tuple:
+def orbit_classes(algebra: LieAlgebraId, nodes: tuple, affine: bool = True) -> tuple:
     """Positive affine roots beta + m delta summed over W_J-orbits, J = nodes.
 
-    Returns the classes at m = 0 (the positive roots) and at every m >= 1
-    (every root, and the imaginary root of multiplicity rank, alone), each
-    class as (summed multiplicity, labels and simple-root coordinates of its
-    J-dominant member, labels of its members).  A row joins the class of the
-    J-dominant labels of beta, which the chamber fold over J finds.  W_J
-    moves a root only along the simple roots in J, so rows of one class
-    that differ in a coordinate outside J are an error.
+    Returns the classes at m = 0 (the positive roots) and, when affine, at
+    every m >= 1 (every root, and the imaginary root of multiplicity rank,
+    alone), each class as (summed multiplicity, labels and simple-root
+    coordinates of its J-dominant member, labels of its members).  A row
+    joins the class of the J-dominant labels of beta, which the chamber fold
+    over J finds.  W_J moves a root only along the simple roots in J, so rows
+    of one class that differ in a coordinate outside J are an error.  The
+    m >= 1 classes take the folds of the positive roots from the cached
+    m = 0 ones, so depth 0 alone folds no negative root.
     """
     d = build_root_datum(algebra)
     zero = (0,) * d.rank
-    positive = [(lab, beta, 1) for lab, beta in zip(d.positive_root_labels, d.positive_roots)]
-    negative = [(tuple(-x for x in lab), tuple(-b for b in beta), 1) for lab, beta, _ in positive]
+    rows = [(lab, beta, 1) for lab, beta in zip(d.positive_root_labels, d.positive_roots)]
     tops = {zero: zero}
+    head = ()
+    if affine:
+        head = orbit_classes(algebra, nodes, False)
+        tops.update((lab, c[1]) for c in head[0] for lab in c[3])
+        rows += [(tuple(-x for x in lab), tuple(-b for b in beta), 1) for lab, beta, _ in rows]
+        rows.append((zero, zero, d.rank))
     outside = [i for i in range(d.rank) if i not in nodes]
-    out = []
-    for rows in (positive, positive + negative + [(zero, zero, d.rank)]):
-        classes: dict = {}
-        for lab, beta, root_mult in rows:
-            if lab not in tops:
-                tops[lab] = d.fold(lab, nodes=nodes)[0]
-            fixed = tuple(beta[i] for i in outside)
-            cls = classes.setdefault(tops[lab], [0, None, None, [], fixed])
-            if fixed != cls[4]:
-                raise InvariantError(f"orbit class of {lab} on {nodes}: coordinates {fixed} != {cls[4]}")
-            cls[0] += root_mult
-            cls[3].append(lab)
-            if lab == tops[lab]:
-                cls[1], cls[2] = lab, beta
-        if any(cls[1] is None for cls in classes.values()):
-            raise InvariantError(f"an orbit class on {nodes} has no J-dominant row")
-        out.append(tuple((c[0], c[1], c[2], tuple(c[3])) for c in classes.values()))
-    return tuple(out)
+    classes: dict = {}
+    for lab, beta, root_mult in rows:
+        if lab not in tops:
+            tops[lab] = d.fold(lab, nodes=nodes)[0]
+        fixed = tuple(beta[i] for i in outside)
+        cls = classes.setdefault(tops[lab], [0, None, None, [], fixed])
+        if fixed != cls[4]:
+            raise InvariantError(f"orbit class of {lab} on {nodes}: coordinates {fixed} != {cls[4]}")
+        cls[0] += root_mult
+        cls[3].append(lab)
+        if lab == tops[lab]:
+            cls[1], cls[2] = lab, beta
+    if any(cls[1] is None for cls in classes.values()):
+        raise InvariantError(f"an orbit class on {nodes} has no J-dominant row")
+    return head + (tuple((c[0], c[1], c[2], tuple(c[3])) for c in classes.values()),)
 
 
 class GradedModule:
@@ -589,9 +593,9 @@ class GradedModule:
             raise InvariantError(f"affine Freudenthal at {nu}, depth {k}: norm gap {num}")
         ell_s = self.level * d.denominator
         total = 0
-        at_zero, at_positive = orbit_classes(self.algebra, tuple(i for i, a in enumerate(nu) if a == 0))
+        classes = orbit_classes(self.algebra, tuple(i for i, a in enumerate(nu) if a == 0), k > 0)
         for m_im in range(k + 1):
-            for class_mult, beta, root, _ in at_positive if m_im else at_zero:
+            for class_mult, beta, root, _ in classes[min(m_im, 1)]:
                 coords = (m_im,) + tuple(m_im * t + b for t, b in zip(d.highest_root, root))
                 for j in range(1, min(g // c for g, c in zip(gap, coords) if c > 0) + 1):
                     w = tuple(x + j * b for x, b in zip(nu, beta))

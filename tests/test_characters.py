@@ -403,6 +403,27 @@ def test_branching_to_depth_four_folds_at_most_1200_times(monkeypatch):
     assert 0 < len(calls) <= 1200
 
 
+def test_a_cold_weight_system_folds_no_negative_root(monkeypatch):
+    # a weight system reads depth 0 only, so it needs the orbit classes of
+    # the positive roots and never the m >= 1 classes, which hold the negative ones
+    monkeypatch.setattr(lie, "graded_module", lru_cache(maxsize=None)(GradedModule))
+    monkeypatch.setattr(lie, "orbit_classes", lru_cache(maxsize=None)(orbit_classes.__wrapped__))
+    negative = {tuple(-x for x in lab) for lab in build_root_datum(F4).positive_root_labels}
+    class_folds = []
+    fold = RootDatum.fold
+
+    def counted(self, labels, *args, **kwargs):
+        if "nodes" in kwargs:
+            class_folds.append(tuple(labels))
+        return fold(self, labels, *args, **kwargs)
+
+    monkeypatch.setattr(RootDatum, "fold", counted)
+    weights = lie.weight_system_cached.__wrapped__(F4, (0, 0, 0, 1))
+    assert sum(weights.values()) == 26
+    assert class_folds and not negative & set(class_folds)
+    assert lie.orbit_classes(F4, (0, 1), False) == lie.orbit_classes(F4, (0, 1))[:1]
+
+
 def test_branching_to_depth_four_computes_each_parabolic_order_once(monkeypatch):
     # |W_J| is cached per algebra and zero-label set J, so orbit_size, called
     # for every candidate weight, runs the height product once per J

@@ -1,5 +1,7 @@
 """Symbolic current-algebra rewriting: brackets, gauge moves, reductions."""
 
+import hashlib
+import json
 import math
 import sys
 from fractions import Fraction
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wzw
+from wzw import correlator
 from wzw.correlator import (
     _INSERTION_RULES,
     CorrelatorState,
@@ -61,6 +65,22 @@ def test_poly_str_forms():
     assert str(Poly.symbol("bH") * Poly.symbol("xb")) == "bH*xb"
 
 
+def test_integral_coefficients_are_stored_as_ints():
+    assert Poly.const(Fraction(4, 2)).terms == {(): 2}
+    assert type(Poly.const(Fraction(4, 2)).terms[()]) is int
+    assert type(Poly({("x", "y"): Fraction(-6, 3)}).terms[("x", "y")]) is int
+    assert type(Poly.symbol("x").terms[("x",)]) is int
+    assert Poly.const(Fraction(1, 2)).terms == {(): Fraction(1, 2)}
+    x = Poly.symbol("x")
+    assert x.scaled(-3) == x * Poly.const(-3) and not x.scaled(0).terms
+
+
+def test_constant_value_is_a_fraction():
+    for p in (Poly.const(3), Poly(), Poly.const(Fraction(3, 2))):
+        assert type(p.constant_value()) is Fraction
+    assert Poly.const(3).constant_value() == 3 and Poly().constant_value() == 0
+
+
 def test_poly_json_is_sorted_and_exact():
     x, y = Poly.symbol("x"), Poly.symbol("y")
     p = x * y * Fraction(1, 3) - 2
@@ -79,6 +99,31 @@ def test_modeop_display():
     assert str(root_mode("b", -1, 2)) == "X-b(2)"
     assert str(cartan_mode(-1)) == "H(-1)"
     assert str(ModeOp("h", ("root", "a"), 0)) == "H_a(0)"
+
+
+def test_modeop_is_an_immutable_named_tuple():
+    op = root_mode("a", +1, -1)
+    same = ModeOp("x", ("a", "+"), -1)
+    assert op == same and hash(op) == hash(same) and op is not same
+    assert {op: 1}[same] == 1 and {(op, cartan_mode(-1)): 2}[(same, cartan_mode(-1))] == 2
+    assert op != root_mode("a", -1, -1) and op != root_mode("a", +1, -2)
+    # a named tuple: equal to the plain (kind, data, mode) tuple, and unpackable
+    assert op == ("x", ("a", "+"), -1)
+    kind, data, mode = op
+    assert (kind, data, mode) == (op.kind, op.data, op.mode) == ("x", ("a", "+"), -1)
+    for name in ("kind", "data", "mode", "other"):
+        with pytest.raises(AttributeError):
+            setattr(op, name, 0)
+    assert wzw.ModeOp is ModeOp
+
+
+def test_error_messages_name_the_operators():
+    with pytest.raises(ValueError) as exc:
+        gauge_move(case_opposite_pair(), 2, root_mode("a", -1, -1), PairingEnv())
+    assert str(exc.value) == "X-a(-1) is not the leading operator of slot 2"
+    with pytest.raises(ValueError) as exc:
+        apply_bracket(root_mode("a", +1, 0), root_mode("b", -1, 0), PairingEnv())
+    assert str(exc.value) == "bracket crosses distinct root symbols 'a' and 'b'"
 
 
 def test_bracket_opposite_root_vectors():
@@ -181,6 +226,31 @@ def test_reduction_leaves_declared_pairings_unchanged():
     assert reduce_state(state, env) == Poly.symbol("xb") * 3 - Poly.symbol("xc") - Fraction(1, 2)
     assert env.xpair == {"a": Poly.const(Fraction(1, 2))}
     assert env.cartan_values == {("b", "H"): Poly.const(3)}
+
+
+def test_a_declared_rational_pairing_stays_exact():
+    env = PairingEnv(level=1, xpair={"a": Fraction(1, 2)}, cartan_values={("b", "H"): 3})
+    state = case_opposite_pair("a") + case_cartan_insertion("b") + case_opposite_pair("c")
+    value = reduce_state(state, env)
+    assert value.terms[()] == Fraction(-1, 2) and type(value.terms[()]) is Fraction
+    assert value.json_obj()[0] == {"coefficient": "-1/2", "powers": {}}
+    assert reduce_state(case_opposite_pair("a"), PairingEnv(level=3, xpair={"a": Fraction(1, 2)})) == Fraction(-3, 2)
+
+
+def test_integer_inputs_keep_int_coefficients_through_a_reduction(monkeypatch):
+    # every sum the engine forms, of coefficients or of polynomials, goes
+    # through _accumulate: record the type of each coefficient it meets
+    seen = []
+    accumulate = correlator._accumulate
+
+    def recorded(acc, key, value):
+        seen.extend(map(type, value.terms.values()) if isinstance(value, Poly) else [type(value)])
+        accumulate(acc, key, value)
+
+    monkeypatch.setattr(correlator, "_accumulate", recorded)
+    value = reduce_state(_hxx(3, 2), PairingEnv(level=3))
+    assert value and set(map(type, value.terms.values())) == {int}
+    assert len(seen) > 1000 and set(seen) == {int}
 
 
 @pytest.mark.parametrize(
@@ -357,9 +427,9 @@ def test_budget_counts_gauge_moves_exactly():
     assert reduce_state(state, env, budget=61) == Poly({("aH",) * 3 + ("xa",) * 3: 972})
 
 
-def _hxx(k, mode):
+def _hxx(k, mode, root="a"):
     return CorrelatorState.single(
-        (cartan_mode(-mode),) * k, (root_mode("a", +1, -mode),) * k, (root_mode("a", -1, -mode),) * k
+        (cartan_mode(-mode),) * k, (root_mode(root, +1, -mode),) * k, (root_mode(root, -1, -mode),) * k
     )
 
 
@@ -372,6 +442,53 @@ def test_least_budgets_that_complete(state, level, least):
     with pytest.raises(ReductionBudgetExceeded):
         reduce_state(state, PairingEnv(level=level), budget=least - 1)
     assert reduce_state(state, PairingEnv(level=level), budget=least)
+
+
+def _lowest_slot_first(slots):
+    return next(i for i in range(3) if slots[i])
+
+
+# sha256 of the JSON terms of H(-m)^k X+r(-m)^k X-r(-m)^k for r = a, then r,
+# as computed by the Fraction engine with dataclass mode operators that
+# preceded the integer one; (k, m) and the levels follow the gauge-correlator
+# shapes of the benchmark
+ENGINE_DIGESTS = {
+    (4, 1, 0): "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+    (4, 1, 1): "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+    (4, 1, 5): "e004f1f85a1b2348f0a344ab66a031e2b840a3411f9f73810137e4c935603cce",
+    (4, 1, 6): "20c0822090b6204cadb063741c43b02a9b8128ca8d6bafa1b3bc4c667ce476ee",
+    (3, 2, 3): "a3fba4232eae9b1d1bf5b097edf6f517f8f4be0d98bad849fd407fde9850b141",
+    (3, 2, 6): "ba5844d2ceadd55520be03e97b741bafa80807eedc297180436e563a723f50ca",
+    (3, 2, 8): "50b44cb03d4c39657a3262923e8870334ba144a091f1a93b48f73d807e748002",
+    (3, 1, 4): "0fbd3b375bdb6ea51b3edc087c7264e8d800f689b5714c84134a49a6d5caf4c2",
+    (3, 1, 5): "13231760ef1da784c69085e8b443dda04adea9b7225f506f35db4e3f0fbfa15e",
+    (3, 1, 6): "3093901a32c17a5bfa00545d3e1b548de1da27c87efc3ee2f47fa157826fe8e7",
+    (2, 4, 4): "5c3a0d720e295540371b48979803d7f1b5c8de6ccf1aadd18fc93a8afa29474a",
+    (2, 4, 5): "8b1298ef5c19309895a422e4abd3d66cd0033937992f06f5529451ec5c4a95da",
+    (2, 4, 7): "ad53d713ffaf4f7752796202e8e4f8cf0093d9e0c888fe0db5d86b00b446b47c",
+    (2, 4, 8): "f10add8c62057645e4f615678b8b28d83085c832d94d758dbe6bd14ec7047e1b",
+    (2, 3, 2): "d5a9b77dfa39e33d922297e98126f88c28617326d48a91fc03a8f647a6a2c82b",
+    (2, 3, 3): "42c20958e4a508730e5254dc7571433122882a4cbd9f6c55afa108d1e452cb13",
+    (2, 3, 5): "82c3a902bb1be2577205a1e4a48dc87d34b70ac28fc623a4e5c3586ba36bfa3d",
+    (2, 3, 6): "79764407207ea994ae7e2de3bf3c56c64f5f427e46cc7e1eb13fa3a5611fba3e",
+    (2, 2, 1): "d2648b6eed4205e8efc165dbe643d877d7355d12036cdd93fab55b8a7f078193",
+    (2, 2, 2): "20c0ad7d52a0147823c6975581a5b51d3eec9b0a46e62f73df0ba826b57955e8",
+    (2, 2, 5): "6f335bfe81aea41bdf60285091164de541f582d7ba454cfce7213e128f07e38e",
+    (2, 1, 1): "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+    (2, 1, 4): "20c0ad7d52a0147823c6975581a5b51d3eec9b0a46e62f73df0ba826b57955e8",
+    (2, 1, 5): "df764e5b99fa545917f296855f1577768a066b190aeef23bcee8b3a1a7170f15",
+}
+
+
+@pytest.mark.parametrize("strategy", [None, _lowest_slot_first], ids=["default", "lowest-slot-first"])
+@pytest.mark.parametrize("k, mode, level", sorted(ENGINE_DIGESTS))
+def test_engine_matches_its_pinned_digests(k, mode, level, strategy):
+    doc = [
+        reduce_state(_hxx(k, mode, root), PairingEnv(level=level), strategy=strategy).json_obj()
+        for root in ("a", "r")
+    ]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == ENGINE_DIGESTS[(k, mode, level)]
 
 
 def test_deeper_words_terminate():
