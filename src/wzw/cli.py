@@ -82,18 +82,16 @@ def cmd_root_system(args):
 
 
 def cmd_fusion(args):
-    from .fusion import fusion_ring
+    from .fusion import _fusion_matrix, fusion_ring
     from .lie import LieAlgebraId
 
     ring = fusion_ring(LieAlgebraId.from_string(args.algebra), args.level)
     table = []
     human = [f"fusion ring {ring.algebra} level {ring.level}, {len(ring.basis)} primaries"]
-    for i, x in enumerate(ring.basis):
-        for y in ring.basis[i:]:
-            product = sorted(ring.product(x, y).items(), key=lambda kv: kv[0].labels)
-            cells = [
-                {"weight": list(w.labels), "multiplicity": m} for w, m in product
-            ]
+    for i, x in enumerate(ring.basis):  # rows of the checked matrices; the basis is in label order
+        for y, row in zip(ring.basis[i:], _fusion_matrix(ring.algebra, ring.level, i)[i:]):
+            product = [(w, m) for w, m in zip(ring.basis, row) if m]
+            cells = [{"weight": list(w.labels), "multiplicity": m} for w, m in product]
             table.append({"x": list(x.labels), "y": list(y.labels), "product": cells})
             rhs = " + ".join(
                 (f"{m}*" if m > 1 else "") + str(list(w.labels)) for w, m in product

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul
 
@@ -29,7 +28,7 @@ from .lie import (
     weight_system_cached,
     weyl_dimension,
 )
-from .qsqrt5 import GOLDEN, QSqrt5
+from .qsqrt5 import closed_form_dimension, closed_form_value  # re-exported from qsqrt5
 
 
 @dataclass(frozen=True)
@@ -103,29 +102,37 @@ MAX_GENUS = MAX_INSERTIONS = 10_000
 
 
 @lru_cache(maxsize=None)
-def _fusion_matrices(algebra: LieAlgebraId, level: int) -> tuple:
-    """(N, H) over basis indices: N[x][a][b] = N_{xa}^b and H = sum_mu N_mu N_mu*.
-
-    Row a of N_x scatters x * a by basis index; N_xy^z = N_{xz*}^{y*} is checked.
-    N_mu N_mu* is N_{mu x mu*}, so H = sum_z c_z N_z with c_z = sum_mu N_{mu mu*}^z.
-    """
+def _dual_indices(algebra: LieAlgebraId, level: int) -> tuple:
+    """Basis index of the charge conjugate of each basis weight."""
     ring = fusion_ring(algebra, level)
-    basis, index, idx = ring.basis, ring.basis_index, range(len(ring.basis))
+    return tuple(ring.basis_index[ring.dual(w)] for w in ring.basis)
 
-    def row(x, y):
-        out = [0] * len(basis)
-        for z, m in ring._table(x, y).items():
-            out[index[z]] = m
-        return tuple(out)
 
-    n = tuple(tuple(row(x, y) for y in basis) for x in basis)
-    dual = [index[ring.dual(w)] for w in basis]
-    if any(n[x][y] != tuple(n[x][dual[z]][dual[y]] for z in idx) for x in idx for y in idx):
-        raise InvariantError(f"{algebra} level {level}: fusion table breaks N_xy^z = N_xz*^y*")
+@lru_cache(maxsize=None)
+def _fusion_matrix(algebra: LieAlgebraId, level: int, x: int) -> tuple:
+    """N_x over basis indices: row a scatters x * a, N_x[a][b] = N_{xa}^b.
+
+    Checked against N_xa^b = N_xb*^a*; over all x that is the full-table check."""
+    ring = fusion_ring(algebra, level)
+    basis, index, dual, idx = ring.basis, ring.basis_index, _dual_indices(algebra, level), range(len(ring.basis))
+    n = [[0] * len(basis) for _ in idx]
+    for a, y in enumerate(basis):
+        for z, m in ring._table(basis[x], y).items():
+            n[a][index[z]] = m
+    if any(n[a] != [n[dual[b]][dual[a]] for b in idx] for a in idx):
+        raise InvariantError(f"{algebra} level {level}: fusion table breaks N_xy^z = N_xz*^y* at x = {basis[x]}")
+    return tuple(map(tuple, n))
+
+
+@lru_cache(maxsize=None)
+def _handle(algebra: LieAlgebraId, level: int) -> tuple:
+    """H = sum_mu N_mu N_mu* = sum_z c_z N_z with c_z = sum_mu N_{mu mu*}^z; c reads every N_mu."""
+    dual = _dual_indices(algebra, level)
+    idx = range(len(dual))
+    n = [_fusion_matrix(algebra, level, x) for x in idx]
     c = map(sum, zip(*(n[i][dual[i]] for i in idx)))
     terms = [(cz, n[z]) for z, cz in enumerate(c) if cz]
-    h = tuple(tuple(sum(cz * m[a][b] for cz, m in terms) for b in idx) for a in idx)
-    return n, h
+    return tuple(tuple(sum(cz * m[a][b] for cz, m in terms) for b in idx) for a in idx)
 
 
 def _apply_power(v: tuple, m: tuple, e: int) -> tuple:
@@ -144,20 +151,21 @@ def verlinde_dim(ring: FusionRing, curve: CurveData) -> int:
 
     m_x counts the insertions of basis weight x; vacuum insertions drop out,
     since N_0 is the identity.  Fusion matrices commute, so each power is
-    applied to the row vector in turn.
+    applied to the row vector in turn; only the inserted N_x are built, and H
+    only when g > 0.
     """
     if curve.genus > MAX_GENUS or len(curve.insertions) > MAX_INSERTIONS:
         raise ValueError(f"genus or insertion count above the cap of {MAX_GENUS}")
     counts = Counter(ring.index(w) for w in curve.insertions)
     counts.pop(0, None)
-    matrices, handle = _fusion_matrices(ring.algebra, ring.level)
     v = (1,) + (0,) * (len(ring.basis) - 1)
     for x, m in sorted(counts.items()):
-        v = _apply_power(v, matrices[x], m)
-    dim = _apply_power(v, handle, curve.genus)[0]
-    if dim < 0:
-        raise InvariantError(f"negative block dimension {dim} at genus {curve.genus}")
-    return dim
+        v = _apply_power(v, _fusion_matrix(ring.algebra, ring.level, x), m)
+    if curve.genus:
+        v = _apply_power(v, _handle(ring.algebra, ring.level), curve.genus)
+    if v[0] < 0:
+        raise InvariantError(f"negative block dimension {v[0]} at genus {curve.genus}")
+    return v[0]
 
 
 def propagation_check(ring: FusionRing, curve: CurveData) -> bool:
@@ -165,23 +173,3 @@ def propagation_check(ring: FusionRing, curve: CurveData) -> bool:
     vacuum = ring.basis[0]
     extended = CurveData(curve.genus, curve.insertions + (vacuum,))
     return verlinde_dim(ring, curve) == verlinde_dim(ring, extended)
-
-
-def closed_form_dimension(genus: int, points: int) -> QSqrt5:
-    """((5+sqrt5)/2)^(g-1) phi^n + ((5-sqrt5)/2)^(g-1) phibar^n, exactly.
-
-    The two summands are conjugate, so the sqrt(5) part must cancel; that
-    cancellation is checked rather than assumed.
-    """
-    if genus < 0 or points < 0:
-        raise ValueError("genus and point count must be nonnegative")
-    base = QSqrt5(Fraction(5, 2), Fraction(1, 2))  # (5 + sqrt 5)/2
-    value = base ** (genus - 1) * GOLDEN**points
-    total = value + value.conjugate()
-    if total.b != 0 or total.a.denominator != 1 or total.a < 0:
-        raise InvariantError(f"conjugate pair failed to cancel to a count: {total}")
-    return total
-
-
-def closed_form_value(genus: int, points: int) -> int:
-    return int(closed_form_dimension(genus, points).a)

@@ -715,3 +715,22 @@ def level_weights(d: RootDatum, level: int) -> list:
     if level < 0:
         raise ValueError("level must be nonnegative")
     return [d.weight(x) for x in dominant_weights(d, d.level_of, level)]
+
+
+def conformal_anomaly(algebra: LieAlgebraId, level: int) -> Fraction:
+    """Virasoro central charge level*dim/(h_vee + level)."""
+    if level < 0:
+        raise ValueError("level must be nonnegative")
+    d = build_root_datum(algebra)
+    return Fraction(level * d.dimension, d.dual_coxeter + level)
+
+
+def trace_anomaly(algebra: LieAlgebraId, level: int, w: Weight) -> Fraction:
+    """Conformal weight (lambda, lambda + 2 rho) / (2 (h_vee + level))."""
+    d = build_root_datum(algebra)
+    if w.algebra != algebra:
+        raise ValueError(f"{w} does not belong to {algebra}")
+    if not w.is_dominant() or d.level_of(w.labels) > level:
+        raise ValueError(f"{w} is not an integrable level-{level} weight of {algebra}")
+    shifted = tuple(x + 2 for x in w.labels)  # lambda + 2 rho
+    return Fraction(d.ip(w.labels, shifted)) / (2 * (d.dual_coxeter + level))

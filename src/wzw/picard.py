@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .fusion import closed_form_dimension, closed_form_value
+from .qsqrt5 import closed_form_dimension, closed_form_value
 
 
 @dataclass(frozen=True)
@@ -107,28 +106,22 @@ class PicRelation:
 MAX_RELATION_SIZE = 1 << 16  # cap on (g + 1) 2^n, about twice the number of strata
 
 
-@lru_cache(maxsize=None)
-def _F(g: int, n: int) -> int:
-    """The closed form, once per (g, n): coefficients depend only on (h, |A|)."""
-    return closed_form_value(g, n)
-
-
 def emit_relation(g: int, n: int) -> PicRelation:
     """Fill every coefficient of the relation from the closed form, exactly."""
     _check_stable(g, n)
     if (g + 1) << n > MAX_RELATION_SIZE:
         raise ValueError(f"(g + 1) * 2^n at (g, n) = ({g}, {n}) is above the cap {MAX_RELATION_SIZE}")
     strata = boundary_strata(g, n)
-    fgn = _F(g, n)
+    fgn = closed_form_value(g, n)
     if fgn == 0:
         raise ValueError(f"the closed-form dimension vanishes at (g, n) = ({g}, {n}); relation undefined")
     rows = []
     for s in strata:
         if s.kind == "irr":
-            c = Fraction(_F(g - 1, n + 2), fgn)
+            c = Fraction(closed_form_value(g - 1, n + 2), fgn)
         else:
             a = len(s.markings)
-            c = Fraction(_F(s.h, a + 1) * _F(g - s.h, n - a + 1), fgn)
+            c = Fraction(closed_form_value(s.h, a + 1) * closed_form_value(g - s.h, n - a + 1), fgn)
         rows.append((s, c))
     return PicRelation(
         g=g,
@@ -173,7 +166,7 @@ def relation_consistency(g: int, n: int) -> ConsistencyReport:
         g=g,
         n=n,
         recursion_holds=lhs == rhs,
-        recursion_values=(_F(g, n), _F(g - 1, n + 2), _F(g - 1, n)),
+        recursion_values=(closed_form_value(g, n), closed_form_value(g - 1, n + 2), closed_form_value(g - 1, n)),
         boundary_numerators_positive=positive,
         irr_coeff=irr_coeff,
         irr_below_one=below,

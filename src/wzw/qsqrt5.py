@@ -1,10 +1,12 @@
-"""Exact arithmetic in the field Q(sqrt 5)."""
+"""Exact arithmetic in the field Q(sqrt 5), and the level-one block dimensions in closed form."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
+
+from . import InvariantError
 
 Rational = Union[int, Fraction]
 
@@ -141,3 +143,24 @@ class QSqrt5:
 
 
 GOLDEN = QSqrt5(Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt 5)/2
+
+
+def closed_form_dimension(genus: int, points: int) -> QSqrt5:
+    """((5+sqrt5)/2)^(g-1) phi^n + ((5-sqrt5)/2)^(g-1) phibar^n, exactly.
+
+    The two summands are conjugate, so the sqrt(5) part must cancel; that
+    cancellation is checked rather than assumed.
+    """
+    if genus < 0 or points < 0:
+        raise ValueError("genus and point count must be nonnegative")
+    base = QSqrt5(Fraction(5, 2), Fraction(1, 2))  # (5 + sqrt 5)/2
+    value = base ** (genus - 1) * GOLDEN**points
+    total = value + value.conjugate()
+    if total.b != 0 or total.a.denominator != 1 or total.a < 0:
+        raise InvariantError(f"conjugate pair failed to cancel to a count: {total}")
+    return total
+
+
+@lru_cache(maxsize=None)
+def closed_form_value(genus: int, points: int) -> int:
+    return int(closed_form_dimension(genus, points).a)

@@ -165,38 +165,30 @@ def s_matrix(algebra: LieAlgebraId, level: int, precision: int | None = None) ->
     return SMatrix(algebra, level, basis, rows, precision)
 
 
+def _sine_product(d, level: int, labels):
+    """Prod over beta > 0 of sin(pi D (lambda + rho, beta) / N), N = D (level + h^vee)."""
+    denom = (level + d.dual_coxeter) * d.denominator
+    shifted = tuple(x + 1 for x in labels)
+    return mp.fprod(mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom) for beta in d.positive_roots)
+
+
 def s_matrix_column(algebra: LieAlgebraId, level: int, precision: int | None = None):
-    """Vacuum row S_{0,lambda} via the positive-root sine product.
+    """Vacuum row S_{0,lambda}: the sine products, normalised.
 
     Works for any Weyl-group size; returned as a unit vector of positive reals.
     """
     d = build_root_datum(algebra)
     precision = _precision(precision)
     basis = level_weights(d, level)
-    denom = (level + d.dual_coxeter) * d.denominator
     with mp.workdps(precision):
-        raw = []
-        for lam in basis:
-            shifted = tuple(x + 1 for x in lam.labels)
-            prod = mp.mpf(1)
-            for beta in d.positive_roots:
-                prod *= 2 * mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom)
-            raw.append(prod)
+        raw = [_sine_product(d, level, lam.labels) for lam in basis]
         scale = mp.sqrt(sum(x**2 for x in raw))
         column = [x / scale for x in raw]
     return tuple(basis), column
 
 
 def quantum_dimension(algebra: LieAlgebraId, level: int, labels, precision: int | None = None):
-    """S_{0,lambda}/S_{0,0} as a sine-product ratio."""
+    """S_{0,lambda}/S_{0,0} as a ratio of sine products."""
     d = build_root_datum(algebra)
-    precision = _precision(precision)
-    denom = (level + d.dual_coxeter) * d.denominator
-    shifted = tuple(x + 1 for x in labels)
-    with mp.workdps(precision):
-        value = mp.mpf(1)
-        for beta, rho_beta in zip(d.positive_roots, d.rho_pairings):
-            value *= mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom) / mp.sinpi(
-                mp.mpf(rho_beta) / denom
-            )
-        return value
+    with mp.workdps(_precision(precision)):
+        return _sine_product(d, level, labels) / _sine_product(d, level, (0,) * d.rank)

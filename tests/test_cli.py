@@ -459,6 +459,30 @@ def test_broken_invariant_exits_one_with_one_line(capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: ") and "planted failure" in err
 
 
+def test_fusion_prints_only_a_checked_table(capsys, monkeypatch):
+    # N_tau,tau^vac raised to 2 breaks N_xy^z = N_xz*^y*; the table must not print it
+    real = fusion._kac_walton
+    g2 = LieAlgebraId("G", 2)
+
+    def planted(algebra, level, x, y):
+        out = dict(real(algebra, level, x, y))
+        if (algebra, x, y) == (g2, (1, 0), (1, 0)):
+            out[build_root_datum(g2).weight((0, 0))] += 1
+        return out
+
+    fusion._fusion_matrix.cache_clear()
+    monkeypatch.setattr(fusion, "_kac_walton", planted)
+    try:
+        code, out, err = run(capsys, "fusion", "--algebra", "G2", "--level", "1", "--json")
+    finally:
+        fusion._fusion_matrix.cache_clear()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: internal invariant failed: G2 level 1: fusion table breaks "
+        "N_xy^z = N_xz*^y* at x = [1,0]\n"
+    )
+
+
 def test_verify_all_reports_each_criterion(capsys, monkeypatch):
     fake = [
         CriterionResult(1, "alpha", True, "fine"),

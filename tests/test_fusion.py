@@ -10,7 +10,8 @@ from wzw.fusion import (
     MAX_GENUS,
     MAX_INSERTIONS,
     CurveData,
-    _fusion_matrices,
+    _fusion_matrix,
+    _handle,
     closed_form_dimension,
     closed_form_value,
     fusion_ring,
@@ -32,6 +33,11 @@ def fib(k):
     return a
 
 
+def _clear_matrix_caches():
+    _fusion_matrix.cache_clear()
+    _handle.cache_clear()
+
+
 def test_g2_level_one_table():
     ring = fusion_ring(G2, 1)
     assert [w.labels for w in ring.basis] == [(0, 0), (1, 0)]
@@ -44,7 +50,7 @@ def test_product_hands_out_a_copy_of_the_cached_table():
     # editing a returned product must change no later answer
     ring = fusion_ring(G2, 1)
     vac, tau = ring.basis
-    _fusion_matrices.cache_clear()
+    _clear_matrix_caches()
     p = ring.product(tau, tau)
     p[tau] += 1
     assert ring.product(tau, tau) == {vac: 1, tau: 1}
@@ -250,7 +256,7 @@ def test_handle_matrix_is_the_sum_of_n_mu_times_its_transpose():
     n = [[[ring.coefficient(x, a, b) for b in ring.basis] for a in ring.basis] for x in ring.basis]
     idx = range(len(ring.basis))
     want = tuple(tuple(sum(m[a][c] * m[b][c] for m in n for c in idx) for b in idx) for a in idx)
-    assert _fusion_matrices(ring.algebra, ring.level)[1] == want
+    assert _handle(ring.algebra, ring.level) == want
 
 
 @pytest.mark.parametrize(
@@ -269,12 +275,11 @@ def test_one_alcove_fold_matches_tensor_product_then_fold(name, level):
             assert list(ring.product(x, y).items()) == list(two_fold.items()), (x, y)
 
 
-def test_planted_asymmetry_in_the_table_raises(monkeypatch):
+def _plant_tau_tau_vacuum(monkeypatch):
     # N_tau,tau^vac sits in an S3 orbit of three table entries, so raising it alone
     # breaks N_xy^z = N_xz*^y*
     real = fusion._kac_walton
-    ring = fusion_ring(G2, 1)
-    vac, tau = ring.basis
+    vac, tau = fusion_ring(G2, 1).basis
 
     def planted(algebra, level, x, y):
         out = dict(real(algebra, level, x, y))
@@ -282,10 +287,43 @@ def test_planted_asymmetry_in_the_table_raises(monkeypatch):
             out[vac] += 1
         return out
 
-    _fusion_matrices.cache_clear()
+    _clear_matrix_caches()
     monkeypatch.setattr(fusion, "_kac_walton", planted)
+
+
+def test_planted_asymmetry_in_the_table_raises(monkeypatch):
+    # the handle reads every N_mu
+    ring = fusion_ring(G2, 1)
+    _plant_tau_tau_vacuum(monkeypatch)
     try:
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match=r"at x = \[1,0\]"):
             verlinde_dim(ring, CurveData(1, ()))
     finally:
-        _fusion_matrices.cache_clear()
+        _clear_matrix_caches()
+
+
+def test_planted_asymmetry_raises_at_genus_zero(monkeypatch):
+    # no handle is built here: N_tau alone is, and it is checked on its own
+    ring = fusion_ring(G2, 1)
+    _plant_tau_tau_vacuum(monkeypatch)
+    try:
+        with pytest.raises(InvariantError, match=r"at x = \[1,0\]"):
+            verlinde_dim(ring, CurveData(0, (ring.basis[1],)))
+        assert _handle.cache_info().currsize == 0
+    finally:
+        _clear_matrix_caches()
+
+
+def test_genus_zero_builds_only_the_inserted_matrices(monkeypatch):
+    # A3 at level 12 has 455 primaries; two insertions need two of the 455 N_x and no
+    # handle, whose full table would take most of a minute and hundreds of MB to build
+    d = build_root_datum(LieAlgebraId("A", 3))
+    ring = fusion_ring(d.algebra, 12)
+    _clear_matrix_caches()
+    monkeypatch.setattr(fusion, "_handle", lambda *_: pytest.fail("the handle was built at genus 0"))
+    try:
+        assert verlinde_dim(ring, CurveData(0, (d.weight((1, 0, 0)), d.weight((0, 0, 1))))) == 1
+        assert _fusion_matrix.cache_info().currsize == 2
+        assert _handle.cache_info().currsize == 0
+    finally:
+        _clear_matrix_caches()

@@ -66,3 +66,15 @@ def test_submodules_resolve_after_a_bare_import():
         [sys.executable, "-c", probe], capture_output=True, check=True, env=env, text=True
     ).stdout
     assert out.split() == ["True", "False"]
+
+
+def test_re_exports_are_the_defining_objects():
+    # the pinned order keeps fusion and embeddings as owners; the code lives in qsqrt5 and lie
+    for owner, home, names in (
+        ("fusion", "qsqrt5", ("closed_form_dimension", "closed_form_value")),
+        ("embeddings", "lie", ("conformal_anomaly", "trace_anomaly")),
+    ):
+        for name in names:
+            value = getattr(import_module("wzw." + home), name)
+            assert value.__module__ == "wzw." + home
+            assert getattr(wzw, name) is getattr(import_module("wzw." + owner), name) is value

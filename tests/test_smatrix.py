@@ -108,6 +108,49 @@ def test_quantum_dimensions_from_matrix_exceed_one():
             assert abs(sm.quantum_dimension(i) - quantum_dimension(F4, 2, sm.basis[i].labels)) < mp.mpf("1e-30")
 
 
+def _ratio_product_quantum_dimension(algebra, level, labels, precision):
+    """Reference: one sine ratio per positive root, multiplied in turn."""
+    d = build_root_datum(algebra)
+    denom = (level + d.dual_coxeter) * d.denominator
+    shifted = tuple(x + 1 for x in labels)
+    with mp.workdps(precision):
+        value = mp.mpf(1)
+        for beta, rho_beta in zip(d.positive_roots, d.rho_pairings):
+            value *= mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom) / mp.sinpi(
+                mp.mpf(rho_beta) / denom
+            )
+        return value
+
+
+def _doubled_sine_column(algebra, level, precision):
+    """Reference: the vacuum row from products of 2 sin(...) per positive root."""
+    d = build_root_datum(algebra)
+    denom = (level + d.dual_coxeter) * d.denominator
+    with mp.workdps(precision):
+        raw = []
+        for lam in level_weights(d, level):
+            shifted = tuple(x + 1 for x in lam.labels)
+            prod = mp.mpf(1)
+            for beta in d.positive_roots:
+                prod *= 2 * mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom)
+            raw.append(prod)
+        scale = mp.sqrt(sum(x**2 for x in raw))
+        return [x / scale for x in raw]
+
+
+@pytest.mark.parametrize("precision", [15, 50, 200])
+def test_one_sine_product_matches_the_per_root_forms(precision):
+    # the factor 2 per root is a power of two, so it cancels in the column exactly
+    for algebra, level in CASES + [(E8, 1)]:
+        basis, column = s_matrix_column(algebra, level, precision)
+        assert column == _doubled_sine_column(algebra, level, precision), (algebra, level)
+        with mp.workdps(precision):
+            for w in basis:
+                want = _ratio_product_quantum_dimension(algebra, level, w.labels, precision)
+                got = quantum_dimension(algebra, level, w.labels, precision)
+                assert abs(got - want) < mp.mpf(10) ** (5 - precision), (algebra, level, w)
+
+
 def test_e8_full_matrix_rejected_column_allowed():
     assert s_matrix(G2, 1).algebra == G2
     with pytest.raises(ValueError):
@@ -126,6 +169,18 @@ def test_column_agrees_with_full_matrix():
     with mp.workdps(sm.precision):
         for value, z in zip(column, sm.entries[0]):
             assert abs(value - z) < mp.mpf("1e-40")
+
+
+def test_d7_level_zero_is_refused_by_the_weyl_limit():
+    # D7 at level 0 is the one ring of type A-G, rank <= 12, level <= 3 where the two
+    # caps disagree: its matrix_work, 2,580,532, is under MAX_MATRIX_WORK, but with
+    # the |W| limit lifted the matrix takes seconds; only FULL_PATH_WEYL_LIMIT stops it
+    d7 = LieAlgebraId("D", 7)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the full-matrix limit"):
+        s_matrix(d7, 0)
+    assert time.perf_counter() - start < 1
+    assert _work_at(build_root_datum(d7), 0) == 2_580_532 <= MAX_MATRIX_WORK
 
 
 def test_precision_env(monkeypatch):

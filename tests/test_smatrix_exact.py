@@ -13,7 +13,7 @@ import mpmath as mp
 import pytest
 
 from wzw import fusion, smatrix
-from wzw.fusion import _fusion_matrices, fusion_ring
+from wzw.fusion import _fusion_matrix, _handle, fusion_ring
 from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
 from wzw.smatrix import kac_peterson_counts, s_matrix
 
@@ -108,8 +108,8 @@ def test_exact_verlinde_formula_links_counts_to_kac_walton(algebra, level):
 
 
 def test_exact_verlinde_formula_catches_a_planted_self_dual_coefficient(monkeypatch):
-    # N_tau,tau^tau maps to itself under N_xy^z = N_xz*^y*, so the table check in
-    # _fusion_matrices cannot see it; the two-route oracle must
+    # N_tau,tau^tau maps to itself under N_xy^z = N_xz*^y*, so the check of each
+    # fusion matrix cannot see it; the two-route oracle must
     real = fusion._kac_walton
     ring = fusion_ring(G2, 1)
     tau = ring.basis[1]
@@ -120,12 +120,14 @@ def test_exact_verlinde_formula_catches_a_planted_self_dual_coefficient(monkeypa
             out[tau] += 1
         return out
 
-    _fusion_matrices.cache_clear()
+    _fusion_matrix.cache_clear()
+    _handle.cache_clear()
     monkeypatch.setattr(fusion, "_kac_walton", planted)
     try:
         assert _verlinde_failures(G2, 1) == {0, 1}
     finally:
-        _fusion_matrices.cache_clear()
+        _fusion_matrix.cache_clear()
+        _handle.cache_clear()
 
 
 @pytest.mark.parametrize("algebra,level", [(G2, 1), (G2, 3), (F4, 1), (F4, 2), (A2, 3), (B3, 2)])

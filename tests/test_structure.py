@@ -1,7 +1,12 @@
 """Source-level guards: checks survive python -O, and cross-checks stay independent."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import wzw
 
@@ -43,14 +48,48 @@ def test_no_assert_statements_in_package():
     assert offenders == []
 
 
-def test_smatrix_imports_only_the_lie_kernel():
-    for node in ast.walk(_tree("smatrix")):
-        if isinstance(node, ast.ImportFrom) and node.level > 0:
-            assert node.module == "lie", node.module
-        elif isinstance(node, ast.ImportFrom):
-            assert not (node.module or "").startswith("wzw"), node.module
+# What each module imports from the package, anywhere in it: a submodule by
+# name, or a name of the package itself.  The Q(sqrt 5) closed form lives in
+# qsqrt5, which reaches neither the block recursion nor the Lie kernel, and
+# smatrix reaches no fusion code, so both cross-checks stay independent.
+IMPORT_GRAPH = {
+    "lie": {"InvariantError"},
+    "qsqrt5": {"InvariantError"},
+    "correlator": set(),
+    "smatrix": {"lie"},
+    "embeddings": {"lie"},
+    "characters": {"lie"},
+    "picard": {"qsqrt5"},
+    "fusion": {"lie", "qsqrt5"},
+}
+
+
+def _package_imports(module):
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "wzw"):
+            path = (node.module or "").split(".")
+            path = path[1:] if node.level == 0 else path
+            found |= {path[0]} if path and path[0] else {a.name for a in node.names}
         elif isinstance(node, ast.Import):
-            assert not any(a.name.startswith("wzw") for a in node.names)
+            found |= {(a.name.split(".") + ["wzw"])[1] for a in node.names if a.name.split(".")[0] == "wzw"}
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(IMPORT_GRAPH))
+def test_intra_package_imports_follow_the_graph(module):
+    assert _package_imports(module) == IMPORT_GRAPH[module]
+
+
+@pytest.mark.parametrize(
+    "module,absent",
+    [("wzw.picard", ["wzw.lie", "wzw.fusion"]), ("wzw.characters", ["wzw.embeddings"])],
+)
+def test_fresh_import_leaves_unused_modules_unloaded(module, absent):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = f"import sys, {module}; print([n for n in {absent!r} if n in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, env=env, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_lattice_oracle_touches_no_lie_name():
@@ -65,12 +104,6 @@ def test_lattice_oracle_touches_no_lie_name():
     }
     used = _names_used(_tree("characters"), ["lattice_shell_counts", "lattice_character_dims"])
     assert used & lie_names == set()
-
-
-def test_closed_form_never_calls_the_block_recursion():
-    used = _names_used(_tree("fusion"), ["closed_form_dimension", "closed_form_value"])
-    assert "_blocks" not in used and "verlinde_dim" not in used
-    assert "_fusion_matrices" not in used
 
 
 def test_fusion_leaves_the_fold_to_the_kernel():
