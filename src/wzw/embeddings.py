@@ -16,6 +16,7 @@ from .lie import (
     LieAlgebraId,
     Weight,
     build_root_datum,
+    check_weight,
     conformal_anomaly,
     freudenthal_weights,
     trace_anomaly,  # re-exported from lie
@@ -26,10 +27,7 @@ from .lie import (
 def rep_dynkin_index(algebra: LieAlgebraId, w: Weight) -> Fraction:
     """Dynkin index dim(V) (lambda, lambda + 2 rho) / (2 dim g)."""
     d = build_root_datum(algebra)
-    if w.algebra != algebra:
-        raise ValueError(f"{w} does not belong to {algebra}")
-    if not w.is_dominant():
-        raise ValueError(f"{w} is not dominant")
+    check_weight(d, w)
     shifted = tuple(x + 2 for x in w.labels)
     return Fraction(weyl_dimension(d, w) * d.ip(w.labels, shifted), 2 * d.dimension)
 

@@ -80,8 +80,6 @@ def _kac_walton(algebra: LieAlgebraId, level: int, x: tuple, y: tuple) -> dict:
 
 @lru_cache(maxsize=None)
 def fusion_ring(algebra: LieAlgebraId, level: int) -> FusionRing:
-    if level < 0:
-        raise ValueError("level must be nonnegative")
     basis = tuple(level_weights(build_root_datum(algebra), level))
     return FusionRing(algebra, level, basis, {w: i for i, w in enumerate(basis)})
 

@@ -423,16 +423,18 @@ def _positive_root_closure(cartan_cols, n) -> dict:
 # module-level operations
 
 
-def _check_same_algebra(d: RootDatum, *weights: Weight):
-    for w in weights:
-        if w.algebra != d.algebra:
-            raise ValueError(f"weight {w} belongs to {w.algebra}, expected {d.algebra}")
+def check_weight(d: RootDatum, w: Weight, level: int | None = None):
+    """Refuse a weight of another algebra, one not dominant, or one above the level if given."""
+    if w.algebra != d.algebra:
+        raise ValueError(f"weight {w} belongs to {w.algebra}, expected {d.algebra}")
+    if not w.is_dominant():
+        raise ValueError(f"{w} is not dominant")
+    if level is not None and d.level_of(w.labels) > level:
+        raise ValueError(f"{w} is not an integrable level-{level} weight of {d.algebra}")
 
 
 def weyl_dimension(d: RootDatum, lam: Weight) -> int:
-    _check_same_algebra(d, lam)
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    check_weight(d, lam)
     shifted = tuple(x + 1 for x in lam.labels)
     num = math.prod(d.scaled_ip_root(shifted, beta) for beta in d.positive_roots)
     return _exact_quotient(num, d.rho_product, f"Weyl dimension of {lam}")
@@ -547,11 +549,8 @@ class GradedModule:
     def __init__(self, algebra: LieAlgebraId, level: int, highest: Weight):
         if level < 1:
             raise ValueError("level must be a positive integer")
-        if highest.algebra != algebra:
-            raise ValueError(f"{highest} does not belong to {algebra}")
         d = build_root_datum(algebra)
-        if not highest.is_dominant() or d.level_of(highest.labels) > level:
-            raise ValueError(f"{highest} is not integrable at level {level}")
+        check_weight(d, highest, level)
         self.algebra = algebra
         self.level = level
         self.highest = tuple(int(x) for x in highest.labels)
@@ -659,9 +658,7 @@ def weight_system_cached(algebra: LieAlgebraId, lam: Labels):
 
 
 def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:
-    _check_same_algebra(d, lam)
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not dominant")
+    check_weight(d, lam)
     full = weight_system_cached(d.algebra, tuple(lam.labels))
     ws = WeightSystem(lam, {d.weight(k): v for k, v in full.items()})
     if ws.dimension != weyl_dimension(d, lam):
@@ -695,10 +692,6 @@ def fold_sum(d: RootDatum, terms, kappa=None) -> dict:
 
 def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
     """Racah-Speiser: shift the weight system of one factor by rho and fold."""
-    _check_same_algebra(d, lam, mu)
-    for w in (lam, mu):
-        if not w.is_dominant():
-            raise ValueError(f"{w} is not dominant")
     dim_lam, dim_mu = weyl_dimension(d, lam), weyl_dimension(d, mu)
     if dim_mu > dim_lam:
         lam, mu = mu, lam
@@ -728,9 +721,6 @@ def conformal_anomaly(algebra: LieAlgebraId, level: int) -> Fraction:
 def trace_anomaly(algebra: LieAlgebraId, level: int, w: Weight) -> Fraction:
     """Conformal weight (lambda, lambda + 2 rho) / (2 (h_vee + level))."""
     d = build_root_datum(algebra)
-    if w.algebra != algebra:
-        raise ValueError(f"{w} does not belong to {algebra}")
-    if not w.is_dominant() or d.level_of(w.labels) > level:
-        raise ValueError(f"{w} is not an integrable level-{level} weight of {algebra}")
+    check_weight(d, w, level)
     shifted = tuple(x + 2 for x in w.labels)  # lambda + 2 rho
     return Fraction(d.ip(w.labels, shifted)) / (2 * (d.dual_coxeter + level))

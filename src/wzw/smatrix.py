@@ -11,9 +11,9 @@ and the counts are checked to be.  s_matrix then evaluates the N roots once
 with guard digits, sums each entry over its nonzero counts, normalises and
 rounds to the working precision.
 
-The orbit walk is only offered when |W| is small and the work is under a cap;
-E8 is served by the positive-root sine-product column, which is all that a
-one-dimensional level-one theory needs.
+The orbit walk is only offered when its work is under one cap; E8 is served
+by the positive-root sine-product column, which is all that a one-dimensional
+level-one theory needs.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import mpmath as mp
 
 from .lie import InvariantError, LieAlgebraId, build_root_datum, level_weights
 
-FULL_PATH_WEYL_LIMIT = 100_000
-# matrix_work units (about a microsecond each); at the cap the s-matrix
-# subcommand takes about 3 s
+# matrix_work units (at most about a microsecond each); the slowest ring under the cap,
+# E6 at level 1, takes about 3 s
 MAX_MATRIX_WORK = 3_000_000
 PRECISION_ENV = "WZW_PRECISION"
 DEFAULT_PRECISION = 50
@@ -95,10 +94,10 @@ class SMatrix:
 
 
 def matrix_work(d, n: int, big_n: int) -> int:
-    """Work of the full matrix for n primaries: n orbit walks of |W| points, each
-    point costing about rank + n, n^2 lists of N residue counts, and about 4n^3
-    for the unitarity check."""
-    return n * (d.weyl_order * (d.rank + n) + n * big_n + 4 * n * n)
+    """Work of the full matrix for n primaries: n orbit walks of |W| points at
+    rank (rank + n) / 4 each (a quarter unit per rank-long tuple step), n^2
+    lists of N residue counts, and about 4n^3 for the unitarity check."""
+    return n * (d.weyl_order * d.rank * (d.rank + n) // 4 + n * big_n + 4 * n * n)
 
 
 def primaries_at_least(d, level: int) -> int:
@@ -112,17 +111,13 @@ def kac_peterson_counts(algebra: LieAlgebraId, level: int):
     w(lambda_i + rho) with -D (w(lambda_i + rho), lambda_j + rho) = r mod N, so
     the raw entry (i, j) is sum_r counts[i][j][r] zeta_N^r, zeta_N = e^(2 pi i/N)."""
     d = build_root_datum(algebra)
-    if d.weyl_order > FULL_PATH_WEYL_LIMIT:
-        raise ValueError(
-            f"|W({algebra})| = {d.weyl_order} exceeds the full-matrix limit "
-            f"{FULL_PATH_WEYL_LIMIT}; use s_matrix_column for vacuum-row data"
-        )
     big_n = (level + d.dual_coxeter) * d.denominator  # (x, y)/kappa = scaled_ip/N
 
     def check_work(n, qualifier=""):
         work = matrix_work(d, n, big_n)
         if work > MAX_MATRIX_WORK:
-            raise ValueError(f"{algebra} level {level}: S-matrix work {qualifier}{work}, over the cap {MAX_MATRIX_WORK}")
+            raise ValueError(f"{algebra} level {level}: S-matrix work {qualifier}{work}, over the cap "
+                             f"{MAX_MATRIX_WORK}; s_matrix_column gives the vacuum row at any size")
 
     check_work(primaries_at_least(d, level), "is at least ")  # a level far over the cap is refused unlisted
     basis = level_weights(d, level)

@@ -163,6 +163,16 @@ def test_smatrix_refuses_above_the_cap_fast(capsys, level):
     assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
 
 
+@pytest.mark.parametrize("algebra,level", [("D7", "0"), ("E8", "1")])
+def test_smatrix_large_weyl_group_is_refused_by_the_work_cap(capsys, algebra, level):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "s-matrix", "--algebra", algebra, "--level", level)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {algebra} level {level}: S-matrix work is at least ")
+    assert f"over the cap {smatrix.MAX_MATRIX_WORK}" in err and "s_matrix_column" in err
+
+
 def test_embedding_list_and_check(capsys):
     code, out, _ = run(capsys, "embedding", "list", "--json")
     doc = json.loads(out)

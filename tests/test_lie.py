@@ -2,19 +2,24 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzw.embeddings import rep_dynkin_index
 from wzw.lie import (
     MAX_RANK,
     LieAlgebraId,
+    Weight,
     build_root_datum,
     freudenthal_weights,
+    graded_module,
     level_weights,
     tensor_decompose,
+    trace_anomaly,
     weyl_dimension,
 )
 
@@ -267,3 +272,25 @@ def test_rho_has_unit_labels():
         assert d.rho == (1,) * d.rank
         # strange formula normalization check: (rho, rho) = h_vee dim / 12
         assert d.ip(d.rho, d.rho) == Fraction(d.dual_coxeter * d.dimension, 12)
+
+
+_G2_WEIGHT_CALLERS = {
+    "weyl_dimension": lambda w: weyl_dimension(build_root_datum(G2), w),
+    "freudenthal_weights": lambda w: freudenthal_weights(build_root_datum(G2), w),
+    "tensor_decompose": lambda w: tensor_decompose(build_root_datum(G2), build_root_datum(G2).zero_weight(), w),
+    "graded_module": lambda w: graded_module(G2, 1, w),
+    "trace_anomaly": lambda w: trace_anomaly(G2, 1, w),
+    "rep_dynkin_index": lambda w: rep_dynkin_index(G2, w),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_G2_WEIGHT_CALLERS))
+def test_every_weight_is_refused_by_one_check(caller):
+    call = _G2_WEIGHT_CALLERS[caller]
+    with pytest.raises(ValueError, match=re.escape("weight [1,0,0,0] belongs to F4, expected G2")):
+        call(Weight(F4, (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match=re.escape("[-1,0] is not dominant")):
+        call(Weight(G2, (-1, 0)))
+    if caller in ("graded_module", "trace_anomaly"):
+        with pytest.raises(ValueError, match=re.escape("[2,0] is not an integrable level-1 weight of G2")):
+            call(Weight(G2, (2, 0)))

@@ -12,7 +12,6 @@ from wzw.fusion import CurveData, fusion_ring, verlinde_dim
 from wzw.lie import LieAlgebraId, build_root_datum, level_weights
 from wzw.smatrix import (
     DEFAULT_PRECISION,
-    FULL_PATH_WEYL_LIMIT,
     MAX_MATRIX_WORK,
     MAX_PRECISION,
     MIN_PRECISION,
@@ -171,16 +170,15 @@ def test_column_agrees_with_full_matrix():
             assert abs(value - z) < mp.mpf("1e-40")
 
 
-def test_d7_level_zero_is_refused_by_the_weyl_limit():
-    # D7 at level 0 is the one ring of type A-G, rank <= 12, level <= 3 where the two
-    # caps disagree: its matrix_work, 2,580,532, is under MAX_MATRIX_WORK, but with
-    # the |W| limit lifted the matrix takes seconds; only FULL_PATH_WEYL_LIMIT stops it
+def test_d7_level_zero_is_refused_by_the_work_cap():
+    # one primary, but |W| = 322,560 points of rank-long steps: the walk alone would
+    # take seconds, and the cap refuses it from the lower bound, before any listing
     d7 = LieAlgebraId("D", 7)
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds the full-matrix limit"):
+    with pytest.raises(ValueError, match="D7 level 0: S-matrix work is at least 4515892, over the cap"):
         s_matrix(d7, 0)
     assert time.perf_counter() - start < 1
-    assert _work_at(build_root_datum(d7), 0) == 2_580_532 <= MAX_MATRIX_WORK
+    assert _work_at(build_root_datum(d7), 0) == 4_515_892 > MAX_MATRIX_WORK
 
 
 def test_precision_env(monkeypatch):
@@ -195,10 +193,6 @@ def test_precision_env(monkeypatch):
     monkeypatch.setenv(PRECISION_ENV, "5")
     with pytest.raises(ValueError):
         default_precision()
-
-
-def test_weyl_limit_constant():
-    assert FULL_PATH_WEYL_LIMIT == 100_000
 
 
 @pytest.mark.parametrize("bad", [MIN_PRECISION - 1, MAX_PRECISION + 1, 0, -3, 1, 200_000])
@@ -244,6 +238,31 @@ def test_largest_admitted_levels():
     for algebra, top in ((G2, 16), (F4, 6)):
         d = build_root_datum(algebra)
         assert _work_at(d, top) <= MAX_MATRIX_WORK < _work_at(d, top + 1)
+
+
+def _two_cap_rule(d, n, big_n):
+    """The admission rule before the one work cap, kept verbatim as a reference:
+    |W| <= 100,000 and the work with a walk step of rank + n units."""
+    return d.weyl_order <= 100_000 and n * (d.weyl_order * (d.rank + n) + n * big_n + 4 * n * n) <= 3_000_000
+
+
+def test_one_work_cap_admits_what_the_two_caps_admitted():
+    types = {"A": range(1, 13), "B": range(2, 13), "C": range(2, 13), "D": range(3, 13),
+             "E": (6, 7, 8), "F": (4,), "G": (2,)}
+    admitted = 0
+    for series, ranks in types.items():
+        for rank in ranks:
+            d = build_root_datum(LieAlgebraId(series, rank))
+            for level in range(40):
+                big_n = (level + d.dual_coxeter) * d.denominator
+                low = primaries_at_least(d, level)
+                if not _two_cap_rule(d, low, big_n) and matrix_work(d, low, big_n) > MAX_MATRIX_WORK:
+                    continue  # both rules refuse from the lower bound
+                n = len(level_weights(d, level))
+                one_cap = matrix_work(d, n, big_n) <= MAX_MATRIX_WORK
+                assert one_cap == _two_cap_rule(d, n, big_n), (series, rank, level)
+                admitted += one_cap
+    assert admitted == 173
 
 
 def test_primary_count_bound_never_exceeds_the_count():

@@ -197,3 +197,18 @@ def test_root_datum_is_built_in_integers():
     assert "Fraction" not in _names_used(tree, ["build_root_datum"])
     defs = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert defs & {"_invert", "_symmetrizer", "_integral"} == set()
+
+
+def test_one_weight_check_and_one_smatrix_cap():
+    # a weight is refused only by lie.check_weight, and the S-matrix only by its work cap
+    calls = [
+        (path.stem, node)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "is_dominant"
+    ]
+    check = next(n for n in _tree("lie").body if isinstance(n, ast.FunctionDef) and n.name == "check_weight")
+    inside = [module == "lie" and check.lineno <= node.lineno <= check.end_lineno for module, node in calls]
+    assert inside and all(inside)
+    sources = "".join(path.read_text(encoding="utf-8") for path in SRC.glob("*.py"))
+    assert "_check_same_algebra" not in sources and "FULL_PATH_WEYL_LIMIT" not in sources
