@@ -28,7 +28,7 @@ from .correlator import (
 )
 from .embeddings import embedding_index_check, g2_f4_in_e8, is_conformal
 from .fusion import CurveData, fusion_ring, verlinde_dim
-from .lie import LieAlgebraId, Weight, build_root_datum, conformal_anomaly, trace_anomaly
+from .lie import LieAlgebraId, build_root_datum, conformal_anomaly, trace_anomaly
 from .picard import BoundaryIndex, IRR, emit_relation, relation_consistency
 from .qsqrt5 import closed_form_value
 from .smatrix import quantum_dimension, s_matrix

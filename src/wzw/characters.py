@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lie import LieAlgebraId, Weight, build_root_datum, trace_anomaly
-from .lie import GradedModule, graded_module, orbit_classes  # re-exported from lie
+from .lie import LieAlgebraId, Weight, build_root_datum, graded_module, trace_anomaly
 
 MAX_BRANCH_DEPTH = 16  # at the cap, a cold `wzw branch-verify --json` answers in about 2 s
 

@@ -148,9 +148,6 @@ class Poly:
             result = result + factor
         return result
 
-    def symbols(self) -> set:
-        return {name for mono in self.terms for name in mono}
-
     def divisible_by(self, name: str) -> bool:
         """True when every monomial contains the symbol (and the poly is nonzero)."""
         return bool(self.terms) and all(name in mono for mono in self.terms)
@@ -332,30 +329,6 @@ class CorrelatorState:
 
     def __add__(self, other: "CorrelatorState") -> "CorrelatorState":
         return CorrelatorState(self.terms + other.terms)
-
-    def map_symbols(self, rename) -> "CorrelatorState":
-        """Rename root and Cartan labels; used by the relabeling invariance tests."""
-        def rn(op):
-            if op.kind == "x":
-                root, sign = op.data
-                return ModeOp("x", (rename.get(root, root), sign), op.mode)
-            tag, label = op.data
-            return ModeOp("h", (tag, rename.get(label, label)), op.mode)
-
-        return CorrelatorState(
-            tuple(
-                Term(t.coefficient, tuple(tuple(rn(op) for op in w) for w in t.slots))
-                for t in self.terms
-            )
-        )
-
-    def swap_slots(self, i: int, j: int) -> "CorrelatorState":
-        def sw(slots):
-            s = list(slots)
-            s[i - 1], s[j - 1] = s[j - 1], s[i - 1]
-            return tuple(s)
-
-        return CorrelatorState(tuple(Term(t.coefficient, sw(t.slots)) for t in self.terms))
 
 
 def case_vacua() -> CorrelatorState:

@@ -18,8 +18,6 @@ from .lie import (
     build_root_datum,
     check_weight,
     conformal_anomaly,
-    freudenthal_weights,
-    trace_anomaly,  # re-exported from lie
     weyl_dimension,
 )
 
@@ -30,15 +28,6 @@ def rep_dynkin_index(algebra: LieAlgebraId, w: Weight) -> Fraction:
     check_weight(d, w)
     shifted = tuple(x + 2 for x in w.labels)
     return Fraction(weyl_dimension(d, w) * d.ip(w.labels, shifted), 2 * d.dimension)
-
-
-def rep_dynkin_index_from_weights(algebra: LieAlgebraId, w: Weight) -> Fraction:
-    """Independent route: sum of mult(mu) (mu, mu) over the weight system / (2 rank)."""
-    d = build_root_datum(algebra)
-    total = Fraction(0)
-    for mu, m in freudenthal_weights(d, w).multiplicities.items():
-        total += m * d.ip(mu.labels, mu.labels)
-    return total / (2 * d.rank)
 
 
 @dataclass(frozen=True)
@@ -129,24 +118,6 @@ def embedding_index_check(e: EmbeddingData) -> CheckReport:
             )
         )
     return CheckReport(tuple(rows))
-
-
-@dataclass(frozen=True)
-class RankReport:
-    factor_rank_sum: int
-    ambient_rank: int
-
-    @property
-    def deficiency(self) -> int:
-        return self.ambient_rank - self.factor_rank_sum
-
-    @property
-    def full_rank(self) -> bool:
-        return self.deficiency == 0
-
-
-def rank_deficiency_check(e: EmbeddingData) -> RankReport:
-    return RankReport(sum(alg.rank for alg, _ in e.factors), e.ambient.rank)
 
 
 # ----------------------------------------------------------------------------
@@ -285,13 +256,7 @@ def embedding_report(e: EmbeddingData) -> CheckReport:
     ]
     if e.adjoint_branching is not None:
         rows.extend(embedding_index_check(e).rows)
-    rank = rank_deficiency_check(e)
-    rows.append(
-        CheckRow(
-            "rank",
-            True,
-            f"factor ranks sum to {rank.factor_rank_sum}, ambient rank {rank.ambient_rank}, "
-            f"deficiency {rank.deficiency}",
-        )
-    )
+    ranks = sum(alg.rank for alg, _ in e.factors)
+    detail = f"factor ranks sum to {ranks}, ambient rank {e.ambient.rank}, deficiency {e.ambient.rank - ranks}"
+    rows.append(CheckRow("rank", True, detail))
     return CheckReport(tuple(rows))

@@ -28,7 +28,6 @@ from .lie import (
     weight_system_cached,
     weyl_dimension,
 )
-from .qsqrt5 import closed_form_dimension, closed_form_value  # re-exported from qsqrt5
 
 
 @dataclass(frozen=True)

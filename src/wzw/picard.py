@@ -109,7 +109,8 @@ MAX_RELATION_SIZE = 1 << 16  # cap on (g + 1) 2^n, about twice the number of str
 def emit_relation(g: int, n: int) -> PicRelation:
     """Fill every coefficient of the relation from the closed form, exactly."""
     _check_stable(g, n)
-    if (g + 1) << n > MAX_RELATION_SIZE:
+    # n first, since 2^n of a huge n does not fit in memory
+    if n >= MAX_RELATION_SIZE.bit_length() or (g + 1) << n > MAX_RELATION_SIZE:
         raise ValueError(f"(g + 1) * 2^n at (g, n) = ({g}, {n}) is above the cap {MAX_RELATION_SIZE}")
     strata = boundary_strata(g, n)
     fgn = closed_form_value(g, n)

@@ -25,7 +25,7 @@ from operator import mul
 
 import mpmath as mp
 
-from .lie import InvariantError, LieAlgebraId, build_root_datum, level_weights
+from .lie import InvariantError, LieAlgebraId, build_root_datum, check_weight, level_weights
 
 # matrix_work units (at most about a microsecond each); the slowest ring under the cap,
 # E6 at level 1, takes about 3 s
@@ -185,5 +185,6 @@ def s_matrix_column(algebra: LieAlgebraId, level: int, precision: int | None = N
 def quantum_dimension(algebra: LieAlgebraId, level: int, labels, precision: int | None = None):
     """S_{0,lambda}/S_{0,0} as a ratio of sine products."""
     d = build_root_datum(algebra)
+    check_weight(d, d.weight(labels), level)
     with mp.workdps(_precision(precision)):
         return _sine_product(d, level, labels) / _sine_product(d, level, (0,) * d.rank)

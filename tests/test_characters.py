@@ -18,16 +18,21 @@ import pytest
 from wzw import characters, lie
 from wzw.characters import (
     MAX_BRANCH_DEPTH,
-    GradedModule,
     g2_f4_branching_claim,
     graded_dims,
-    graded_module,
     lattice_character_dims,
     lattice_shell_counts,
-    orbit_classes,
     verify_branching,
 )
-from wzw.lie import InvariantError, LieAlgebraId, RootDatum, build_root_datum
+from wzw.lie import (
+    GradedModule,
+    InvariantError,
+    LieAlgebraId,
+    RootDatum,
+    build_root_datum,
+    graded_module,
+    orbit_classes,
+)
 
 A1 = LieAlgebraId("A", 1)
 G2 = LieAlgebraId("G", 2)

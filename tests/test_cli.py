@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -13,8 +14,9 @@ import pytest
 
 from wzw import acceptance, cli, correlator, fusion, lie, smatrix
 from wzw.acceptance import CriterionResult
-from wzw.fusion import MAX_GENUS, MAX_INSERTIONS, closed_form_value
+from wzw.fusion import MAX_GENUS, MAX_INSERTIONS
 from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
+from wzw.qsqrt5 import closed_form_value
 
 
 def run(capsys, *argv):
@@ -256,12 +258,22 @@ def test_pic_relation(capsys):
     assert "not stable" in err
 
 
-def test_pic_relation_refuses_oversized_input_fast(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "pic-relation", "--genus", "1", "--markings", "22")
-    assert time.perf_counter() - start < 1
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_pic_relation_refuses_oversized_input_fast():
+    # fresh processes under a 2 GB address-space limit, so a huge 2^n cannot be built
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for markings in ("22", "100000000000"):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "wzw.cli", "pic-relation", "--genus", "1", "--markings", markings],
+            capture_output=True, env=env, text=True, preexec_fn=_limit_address_space,
+        )
+        assert time.perf_counter() - start < 1, markings
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ") and "cap" in done.stderr
 
 
 @pytest.mark.parametrize(

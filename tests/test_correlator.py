@@ -19,6 +19,7 @@ from wzw.correlator import (
     PairingEnv,
     Poly,
     ReductionBudgetExceeded,
+    Term,
     _accumulate,
     _insertion_modes,
     _push,
@@ -368,16 +369,42 @@ def test_one_point_functions_vanish():
         assert not reduce_state(CorrelatorState.single(*slots), env)
 
 
+def _swap_slots(state, i, j):
+    def sw(slots):
+        s = list(slots)
+        s[i - 1], s[j - 1] = s[j - 1], s[i - 1]
+        return tuple(s)
+
+    return CorrelatorState(tuple(Term(t.coefficient, sw(t.slots)) for t in state.terms))
+
+
+def _map_symbols(state, rename):
+    """Rename root and Cartan labels."""
+    def rn(op):
+        if op.kind == "x":
+            root, sign = op.data
+            return ModeOp("x", (rename.get(root, root), sign), op.mode)
+        tag, label = op.data
+        return ModeOp("h", (tag, rename.get(label, label)), op.mode)
+
+    return CorrelatorState(
+        tuple(
+            Term(t.coefficient, tuple(tuple(rn(op) for op in w) for w in t.slots))
+            for t in state.terms
+        )
+    )
+
+
 def test_reduction_invariant_under_slot_swap():
     env = PairingEnv(level=1)
     base = reduce_state(case_opposite_pair(), env)
-    swapped = reduce_state(case_opposite_pair().swap_slots(2, 3), env)
+    swapped = reduce_state(_swap_slots(case_opposite_pair(), 2, 3), env)
     assert swapped == base
 
 
 def test_reduction_invariant_under_root_relabel():
     env = PairingEnv(level=1)
-    relabeled = case_opposite_pair().map_symbols({"a": "c"})
+    relabeled = _map_symbols(case_opposite_pair(), {"a": "c"})
     value = reduce_state(relabeled, env)
     assert value == -Poly.symbol("xc")
 

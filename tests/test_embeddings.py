@@ -6,21 +6,17 @@ import pytest
 
 from wzw.embeddings import (
     EmbeddingData,
-    conformal_anomaly,
     embedding_catalogue,
     embedding_index_check,
     embedding_report,
     g2_f4_in_e8,
     is_conformal,
-    rank_deficiency_check,
     rep_dynkin_index,
-    rep_dynkin_index_from_weights,
     sl_pair_in_sl,
     so_pair_in_so,
     sp_pair_in_so,
-    trace_anomaly,
 )
-from wzw.lie import LieAlgebraId, build_root_datum
+from wzw.lie import LieAlgebraId, build_root_datum, conformal_anomaly, freudenthal_weights, trace_anomaly
 
 G2 = LieAlgebraId("G", 2)
 F4 = LieAlgebraId("F", 4)
@@ -91,10 +87,13 @@ def test_rep_index_known_values(algebra, labels, expected):
     ],
 )
 def test_index_two_routes_agree(algebra, labels):
-    # quadratic Casimir route vs summing (mu, mu) over the full weight system
+    # quadratic Casimir route vs summing mult(mu) (mu, mu) over the full weight system / (2 rank)
     d = build_root_datum(algebra)
     w = d.weight(labels)
-    assert rep_dynkin_index(algebra, w) == rep_dynkin_index_from_weights(algebra, w)
+    from_weights = Fraction(0)
+    for mu, m in freudenthal_weights(d, w).multiplicities.items():
+        from_weights += m * d.ip(mu.labels, mu.labels)
+    assert rep_dynkin_index(algebra, w) == from_weights / (2 * d.rank)
 
 
 def test_g2_f4_embedding_checks():
@@ -106,9 +105,8 @@ def test_g2_f4_embedding_checks():
     assert set(sums) == {"index-sum-G2", "index-sum-F4"}
     # 4 + 1*26 = 30 and 9 + 3*7 = 30
     assert all("30" in detail for detail in sums.values())
-    rank = rank_deficiency_check(e)
-    assert rank.deficiency == 2
-    assert not rank.full_rank
+    rank = next(row for row in embedding_report(e).rows if row.name == "rank")
+    assert rank.detail == "factor ranks sum to 6, ambient rank 8, deficiency 2"
 
 
 def test_non_conformal_counterexample():

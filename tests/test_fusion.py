@@ -12,14 +12,12 @@ from wzw.fusion import (
     CurveData,
     _fusion_matrix,
     _handle,
-    closed_form_dimension,
-    closed_form_value,
     fusion_ring,
     propagation_check,
     verlinde_dim,
 )
 from wzw.lie import InvariantError, LieAlgebraId, build_root_datum, fold_sum, tensor_decompose
-from wzw.qsqrt5 import GOLDEN
+from wzw.qsqrt5 import GOLDEN, closed_form_dimension, closed_form_value
 
 G2 = LieAlgebraId("G", 2)
 F4 = LieAlgebraId("F", 4)

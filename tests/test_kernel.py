@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzw.characters import graded_module
 from wzw.lie import (
     MAX_WEIGHT_BOX,
     Labels,
@@ -28,6 +27,7 @@ from wzw.lie import (
     build_root_datum,
     dominant_below,
     freudenthal_weights,
+    graded_module,
     level_weights,
     weight_system_cached,
     weyl_dimension,

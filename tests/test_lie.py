@@ -22,6 +22,7 @@ from wzw.lie import (
     trace_anomaly,
     weyl_dimension,
 )
+from wzw.smatrix import quantum_dimension
 
 G2 = LieAlgebraId("G", 2)
 F4 = LieAlgebraId("F", 4)
@@ -281,16 +282,20 @@ _G2_WEIGHT_CALLERS = {
     "graded_module": lambda w: graded_module(G2, 1, w),
     "trace_anomaly": lambda w: trace_anomaly(G2, 1, w),
     "rep_dynkin_index": lambda w: rep_dynkin_index(G2, w),
+    "quantum_dimension": lambda w: quantum_dimension(G2, 1, w.labels),
 }
 
 
 @pytest.mark.parametrize("caller", sorted(_G2_WEIGHT_CALLERS))
 def test_every_weight_is_refused_by_one_check(caller):
     call = _G2_WEIGHT_CALLERS[caller]
-    with pytest.raises(ValueError, match=re.escape("weight [1,0,0,0] belongs to F4, expected G2")):
+    foreign = "weight [1,0,0,0] belongs to F4, expected G2"
+    if caller == "quantum_dimension":  # takes bare labels, so an F4 weight has the wrong length
+        foreign = "G2 weight needs 2 labels, got 4"
+    with pytest.raises(ValueError, match=re.escape(foreign)):
         call(Weight(F4, (1, 0, 0, 0)))
     with pytest.raises(ValueError, match=re.escape("[-1,0] is not dominant")):
         call(Weight(G2, (-1, 0)))
-    if caller in ("graded_module", "trace_anomaly"):
+    if caller in ("graded_module", "quantum_dimension", "trace_anomaly"):
         with pytest.raises(ValueError, match=re.escape("[2,0] is not an integrable level-1 weight of G2")):
             call(Weight(G2, (2, 0)))

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from wzw.fusion import closed_form_value
 from wzw.picard import (
     IRR,
     MAX_RELATION_SIZE,
@@ -16,6 +15,7 @@ from wzw.picard import (
     relation_consistency,
     relation_json_obj,
 )
+from wzw.qsqrt5 import closed_form_value
 
 
 def brute_force_strata(g, n):

@@ -37,10 +37,8 @@ def test_all_is_unchanged():
 
 
 def test_each_export_is_the_owning_module_object():
-    for owner, names in wzw._EXPORTS.items():
-        module = import_module("wzw." + owner)
-        for name in names:
-            assert getattr(wzw, name) is getattr(module, name), name
+    for name, owner in wzw._OWNER.items():
+        assert getattr(wzw, name) is getattr(import_module("wzw." + owner), name), name
 
 
 def test_dir_lists_every_export():
@@ -67,14 +65,3 @@ def test_submodules_resolve_after_a_bare_import():
     ).stdout
     assert out.split() == ["True", "False"]
 
-
-def test_re_exports_are_the_defining_objects():
-    # the pinned order keeps fusion and embeddings as owners; the code lives in qsqrt5 and lie
-    for owner, home, names in (
-        ("fusion", "qsqrt5", ("closed_form_dimension", "closed_form_value")),
-        ("embeddings", "lie", ("conformal_anomaly", "trace_anomaly")),
-    ):
-        for name in names:
-            value = getattr(import_module("wzw." + home), name)
-            assert value.__module__ == "wzw." + home
-            assert getattr(wzw, name) is getattr(import_module("wzw." + owner), name) is value

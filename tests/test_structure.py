@@ -1,4 +1,5 @@
-"""Source-level guards: checks survive python -O, and cross-checks stay independent."""
+"""Source-level guards: checks survive python -O, cross-checks stay independent,
+and each public name resolves through the one module that defines it."""
 
 import ast
 import os
@@ -50,8 +51,9 @@ def test_no_assert_statements_in_package():
 
 # What each module imports from the package, anywhere in it: a submodule by
 # name, or a name of the package itself.  The Q(sqrt 5) closed form lives in
-# qsqrt5, which reaches neither the block recursion nor the Lie kernel, and
-# smatrix reaches no fusion code, so both cross-checks stay independent.
+# qsqrt5, which reaches neither the block recursion nor the Lie kernel and
+# which fusion does not import, and smatrix reaches no fusion code, so the
+# cross-checks stay independent.
 IMPORT_GRAPH = {
     "lie": {"InvariantError"},
     "qsqrt5": {"InvariantError"},
@@ -60,7 +62,8 @@ IMPORT_GRAPH = {
     "embeddings": {"lie"},
     "characters": {"lie"},
     "picard": {"qsqrt5"},
-    "fusion": {"lie", "qsqrt5"},
+    "fusion": {"lie"},
+    "acceptance": {"characters", "correlator", "embeddings", "fusion", "lie", "picard", "qsqrt5", "smatrix"},
 }
 
 
@@ -79,6 +82,64 @@ def _package_imports(module):
 @pytest.mark.parametrize("module", sorted(IMPORT_GRAPH))
 def test_intra_package_imports_follow_the_graph(module):
     assert _package_imports(module) == IMPORT_GRAPH[module]
+
+
+def _closure(module):
+    """The module and every module it reaches through IMPORT_GRAPH."""
+    found, todo = set(), [module]
+    while todo:
+        m = todo.pop()
+        if m in IMPORT_GRAPH and m not in found:  # InvariantError is a package name, not a module
+            found.add(m)
+            todo.extend(IMPORT_GRAPH[m])
+    return found
+
+
+def _defined_names(module):
+    """Names bound at the top level of a module by def, class or assignment."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+_DEFINER = {name: path.stem for path in SRC.glob("*.py") for name in _defined_names(path.stem)}
+
+
+def test_every_export_is_defined_by_its_owner():
+    # a name defined in the package itself is bound at import and never resolved through its owner
+    strays = [name for name, owner in wzw._OWNER.items() if _DEFINER[name] not in (owner, "__init__")]
+    assert strays == []
+
+
+@pytest.mark.parametrize("definer", sorted({_DEFINER[name] for name in wzw.__all__}))
+def test_an_export_loads_only_its_definer_and_what_that_imports(definer):
+    # a fresh interpreter, since the test run has long since imported every submodule
+    names = [name for name in wzw.__all__ if _DEFINER[name] == definer]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = f"import sys, wzw\nfor n in {names!r}: getattr(wzw, n)\nprint(*sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, env=env, text=True)
+    loaded = {m.removeprefix("wzw.") for m in out.stdout.split() if m.startswith("wzw.")}
+    assert loaded <= _closure(definer), names
+    assert definer in loaded or definer == "__init__"
+
+
+def test_no_module_imports_a_sibling_name_it_never_uses():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [
+            f"{path.stem}:{node.lineno} {a.asname or a.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for a in node.names
+            if (a.asname or a.name) not in used
+        ]
+    assert unused == []
 
 
 @pytest.mark.parametrize(
