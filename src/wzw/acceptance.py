@@ -47,10 +47,6 @@ class CriterionResult:
     detail: str
 
 
-def _result(number, title, passed, detail) -> CriterionResult:
-    return CriterionResult(number, title, bool(passed), detail)
-
-
 def criterion_1_conformal_anomalies() -> CriterionResult:
     values = (
         conformal_anomaly(G2, 1),
@@ -60,7 +56,7 @@ def criterion_1_conformal_anomalies() -> CriterionResult:
     ok = values == (Fraction(14, 5), Fraction(26, 5), Fraction(8))
     ok = ok and values[0] + values[1] == values[2]
     ok = ok and is_conformal(g2_f4_in_e8())
-    return _result(
+    return CriterionResult(
         1,
         "conformal anomalies",
         ok,
@@ -73,7 +69,7 @@ def criterion_2_trace_anomalies() -> CriterionResult:
     d2 = trace_anomaly(F4, 1, build_root_datum(F4).fundamental_weight(4))
     offsets = tuple(s.offset for s in g2_f4_branching_claim().summands)
     ok = d1 == Fraction(2, 5) and d2 == Fraction(3, 5) and offsets == (0, 1)
-    return _result(
+    return CriterionResult(
         2,
         "trace anomalies and branching offset",
         ok,
@@ -93,7 +89,7 @@ def criterion_3_fibonacci() -> CriterionResult:
     w = build_root_datum(G2).fundamental_weight(1)
     got = [verlinde_dim(ring, CurveData(0, (w,) * n)) for n in range(3, 11)]
     want = [_fib(n - 1) for n in range(3, 11)]
-    return _result(
+    return CriterionResult(
         3,
         "genus-zero Fibonacci dimensions",
         got == want,
@@ -116,7 +112,7 @@ def criterion_4_duality_grid() -> CriterionResult:
                 ok = False
     genus2 = verlinde_dim(rg, CurveData(2, ()))
     ok = ok and genus2 == 5
-    return _result(
+    return CriterionResult(
         4,
         "strange-duality dimension grid",
         ok,
@@ -133,14 +129,14 @@ def criterion_5_e8_trivial() -> CriterionResult:
         for n in range(5)
     ]
     ok = all(dim == 1 for dim in dims)
-    return _result(5, "E8 level-one triviality", ok, f"{len(dims)} block dimensions, all 1")
+    return CriterionResult(5, "E8 level-one triviality", ok, f"{len(dims)} block dimensions, all 1")
 
 
 def criterion_6_index_sums() -> CriterionResult:
     report = embedding_index_check(g2_f4_in_e8())
     sums = [row for row in report.rows if row.name.startswith("index-sum")]
     ok = report.passed and len(sums) == 2
-    return _result(
+    return CriterionResult(
         6,
         "adjoint Dynkin-index sum rule",
         ok,
@@ -153,11 +149,10 @@ def criterion_7_branching() -> CriterionResult:
     claim = g2_f4_branching_claim()
     report = verify_branching(claim, 3)
     elapsed = time.monotonic() - start
-    wg = build_root_datum(G2).fundamental_weight(1)
-    wf = build_root_datum(F4).fundamental_weight(4)
+    (vg, vf), (wg, wf) = (s.weights for s in claim.summands)
     parts = (
-        graded_dims(G2, 1, build_root_datum(G2).zero_weight(), 1)[1],
-        graded_dims(F4, 1, build_root_datum(F4).zero_weight(), 1)[1],
+        graded_dims(G2, 1, vg, 1)[1],
+        graded_dims(F4, 1, vf, 1)[1],
         graded_dims(G2, 1, wg, 0)[0] * graded_dims(F4, 1, wf, 0)[0],
     )
     depth2 = report.rows[2].ambient_dim
@@ -169,7 +164,7 @@ def criterion_7_branching() -> CriterionResult:
         and depth2 == oracle2 == 4124
         and elapsed < BRANCHING_BUDGET_S
     )
-    return _result(
+    return CriterionResult(
         7,
         "graded branching to depth 3",
         ok,
@@ -194,7 +189,7 @@ def criterion_8_correlators() -> CriterionResult:
         and three.divisible_by("xb")
         and not three.substitute({"bH": 0})
     )
-    return _result(
+    return CriterionResult(
         8,
         "three-point correlator reductions",
         ok,
@@ -212,7 +207,7 @@ def criterion_9_pic_relation() -> CriterionResult:
                 continue
             if not relation_consistency(g, n).recursion_holds:
                 ok = False
-    return _result(
+    return CriterionResult(
         9,
         "divisor relation coefficients",
         ok,
@@ -243,11 +238,11 @@ def criterion_10_smatrix_agreement() -> CriterionResult:
     with mp.workdps(60):
         golden = (1 + mp.sqrt(5)) / 2
         for algebra, node in ((G2, 1), (F4, 4)):
-            labels = tuple(int(i == node - 1) for i in range(algebra.rank))
+            labels = build_root_datum(algebra).fundamental_weight(node).labels
             qd = quantum_dimension(algebra, 1, labels, precision=50)
             golden_dev = max(golden_dev, float(abs(qd - golden)))
     ok = worst_fusion < 1e-10 and worst_unitarity < 1e-25 and golden_dev < 1e-30
-    return _result(
+    return CriterionResult(
         10,
         "numeric S-matrix cross-check",
         ok,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-One subcommand per module; `--json` switches every subcommand to a single
-deterministic JSON document on stdout.  Exit status: 0 for success and for
-verification passes, 1 for a verification failure (including a broken
-internal invariant), 2 for a usage error, a cap or a gauge-move budget.
+Each subcommand returns (JSON document, text lines, passed) and `main` alone
+prints: one deterministic JSON document under `--json`.  Exit status: 0 for
+success and verification passes, 1 for a verification failure (including a
+broken internal invariant), 2 for a usage error, a cap or a gauge-move budget.
 
 Each subcommand imports the modules it uses inside its body, so one cold
 process loads only those (`mpmath` only for `s-matrix` and `verify-all`).
@@ -41,14 +41,6 @@ def _parse_weights(tokens, datum):
     return tuple(out)
 
 
-def _emit(args, doc, human):
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in human:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -66,7 +58,7 @@ def cmd_root_system(args):
         "cartan_matrix": [list(row) for row in d.cartan],
         "marks": list(d.marks),
         "comarks": list(d.comarks),
-        "highest_root_labels": list(d.root_labels(d.highest_root)),
+        "highest_root_labels": list(d.theta_labels),
         "positive_roots": [list(b) for b in d.positive_roots],
     }
     human = [
@@ -77,8 +69,7 @@ def cmd_root_system(args):
         f"highest root labels {doc['highest_root_labels']}",
         f"{len(d.positive_roots)} positive roots (simple-root coordinates):",
     ] + [f"  {list(b)}" for b in d.positive_roots]
-    _emit(args, doc, human)
-    return 0
+    return doc, human, True
 
 
 def cmd_fusion(args):
@@ -103,8 +94,7 @@ def cmd_fusion(args):
         "basis": [list(w.labels) for w in ring.basis],
         "table": table,
     }
-    _emit(args, doc, human)
-    return 0
+    return doc, human, True
 
 
 def cmd_verlinde(args):
@@ -123,8 +113,7 @@ def cmd_verlinde(args):
             "set PYTHONINTMAXSTRDIGITS to raise the limit (0 removes it)"
         ) from None
     doc = {"dimension": dim}
-    _emit(args, doc, [json.dumps(doc)])
-    return 0
+    return doc, [json.dumps(doc)], True
 
 
 def cmd_smatrix(args):
@@ -164,8 +153,7 @@ def cmd_smatrix(args):
             e["re"] if e["im"] == "0.0" else f"{e['re']}+{e['im']}i" for e in row
         )
         human.append(f"  {list(w.labels)}: [{parts}]")
-    _emit(args, doc, human)
-    return 0
+    return doc, human, True
 
 
 def cmd_embedding(args):
@@ -186,8 +174,7 @@ def cmd_embedding(args):
             f"{r['name']}: " + " + ".join(f"{a} level {l}" for a, l in r["factors"]) + f" in {r['ambient']}"
             for r in rows
         ]
-        _emit(args, doc, human)
-        return 0
+        return doc, human, True
     if args.name is None:
         raise ValueError("embedding check requires --name")
     embedding = catalogue.get(args.name)
@@ -204,8 +191,7 @@ def cmd_embedding(args):
     human = [
         f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in report.rows
     ] + [f"{embedding.name}: {'all checks pass' if report.passed else 'CHECK FAILED'}"]
-    _emit(args, doc, human)
-    return 0 if report.passed else 1
+    return doc, human, report.passed
 
 
 def cmd_branch_verify(args):
@@ -236,8 +222,7 @@ def cmd_branch_verify(args):
         f" = {r['combined']}"
         for r in rows
     ]
-    _emit(args, doc, human)
-    return 0 if report.passed else 1
+    return doc, human, report.passed
 
 
 def cmd_correlator(args):
@@ -256,22 +241,20 @@ def cmd_correlator(args):
     if args.script is not None:
         with open(args.script, encoding="utf-8") as fh:
             state, env = parse_script(fh.read())
-        source = {"script": args.script}
+        doc = {"script": args.script}
     else:
         cases = {"I": case_vacua, "II": case_opposite_pair, "III": case_cartan_insertion}
         state = cases[args.case]()
         env = PairingEnv(level=args.level)
-        source = {"case": args.case}
+        doc = {"case": args.case}
     try:
         value = reduce_state(state, env)
     except ReductionBudgetExceeded as exc:  # a usage error: main exits 2
         raise ValueError(str(exc)) from None
-    doc = dict(source)
     doc["level"] = env.level
     doc["value"] = str(value)
     doc["terms"] = value.json_obj()
-    _emit(args, doc, [f"level {env.level}", f"value: {value}"])
-    return 0
+    return doc, [f"level {env.level}", f"value: {value}"], True
 
 
 def cmd_pic_relation(args):
@@ -287,8 +270,7 @@ def cmd_pic_relation(args):
         human.append(f"  + {doc['rhs']['irr']} * delta_irr")
     for item in doc["rhs"]["boundary"]:
         human.append(f"  + {item['coeff']} * delta_({item['h']},{set(item['A']) or '{}'})")
-    _emit(args, doc, human)
-    return 0
+    return doc, human, True
 
 
 def cmd_verify_all(args):
@@ -306,10 +288,8 @@ def cmd_verify_all(args):
         f"{'PASS' if r.passed else 'FAIL'}  criterion {r.number:2d}  {r.title}: {r.detail}"
         for r in results
     ]
-    n_pass = sum(r.passed for r in results)
-    human.append(f"{n_pass}/{len(results)} acceptance criteria pass")
-    _emit(args, doc, human)
-    return 0 if doc["passed"] else 1
+    human.append(f"{sum(r.passed for r in results)}/{len(results)} acceptance criteria pass")
+    return doc, human, doc["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc, lines, passed = args.func(args)
+        print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

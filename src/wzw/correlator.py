@@ -519,7 +519,8 @@ _SLOT_RE = re.compile(r"^slot([123])\s*:\s*(.*)$")
 def parse_script(text: str):
     """Parse the correlator term language into a state and its environment.
 
-    Grammar, one directive per line ('#' starts a comment):
+    Grammar, one directive per line ('#' starts a comment), each directive
+    at most once:
 
         level <nonnegative integer>
         slot<i>: <term> <term> ...      with i in 1, 2, 3
@@ -528,7 +529,7 @@ def parse_script(text: str):
     leftmost term is the outermost operator.  Roots are identifiers; each
     distinct root is an independent direction.  Missing slots are vacua.
     """
-    level = 1
+    level = None
     slots = {1: None, 2: None, 3: None}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -538,6 +539,8 @@ def parse_script(text: str):
             rest = line[len("level"):].strip()
             if not rest.isdigit():
                 raise ValueError(f"bad level directive: {raw.strip()!r}")
+            if level is not None:
+                raise ValueError("level given twice")
             level = int(rest)
             continue
         m = _SLOT_RE.match(line)
@@ -560,4 +563,4 @@ def parse_script(text: str):
     if sum(len(w) for w in slots.values() if w) > MAX_SCRIPT_OPERATORS:
         raise ValueError(f"script has more than {MAX_SCRIPT_OPERATORS} operators (the cap)")
     state = CorrelatorState.single(slots[1] or (), slots[2] or (), slots[3] or ())
-    return state, PairingEnv(level=level)
+    return state, PairingEnv(level=1 if level is None else level)

@@ -92,15 +92,14 @@ def embedding_index_check(e: EmbeddingData) -> CheckReport:
     the other components) over the adjoint branching must give h_vee(ambient)
     times the Dynkin index ell_i of the embedding.
     """
+    ambient, total = build_root_datum(e.ambient), e.branching_dimension()
     rows = [
         CheckRow(
             "adjoint-dimension",
-            e.branching_dimension() == build_root_datum(e.ambient).dimension,
-            f"sum of branching dims = {e.branching_dimension()}, "
-            f"dim {e.ambient} = {build_root_datum(e.ambient).dimension}",
+            total == ambient.dimension,
+            f"sum of branching dims = {total}, dim {e.ambient} = {ambient.dimension}",
         )
     ]
-    hvee = build_root_datum(e.ambient).dual_coxeter
     for i, (alg, lvl) in enumerate(e.factors):
         lhs = Fraction(0)
         for comps, mult in e.adjoint_branching:
@@ -109,7 +108,7 @@ def embedding_index_check(e: EmbeddingData) -> CheckReport:
                 if j != i:
                     term *= weyl_dimension(build_root_datum(w.algebra), w)
             lhs += term
-        rhs = Fraction(hvee * lvl)
+        rhs = Fraction(ambient.dual_coxeter * lvl)
         rows.append(
             CheckRow(
                 f"index-sum-{alg}",
@@ -129,8 +128,7 @@ def _w(algebra: LieAlgebraId, labels) -> Weight:
 
 
 def _adjoint(algebra: LieAlgebraId) -> Weight:
-    d = build_root_datum(algebra)
-    return _w(algebra, d.root_labels(d.highest_root))
+    return _w(algebra, build_root_datum(algebra).theta_labels)
 
 
 def _zero(algebra: LieAlgebraId) -> Weight:
@@ -246,14 +244,8 @@ def embedding_catalogue() -> dict:
 
 
 def embedding_report(e: EmbeddingData) -> CheckReport:
-    rows = [
-        CheckRow(
-            "conformal",
-            is_conformal(e),
-            f"sum of central charges = {sum(conformal_anomaly(a, l) for a, l in e.factors)}, "
-            f"c(ambient, 1) = {conformal_anomaly(e.ambient, 1)}",
-        )
-    ]
+    total, ambient = sum(conformal_anomaly(a, l) for a, l in e.factors), conformal_anomaly(e.ambient, 1)
+    rows = [CheckRow("conformal", total == ambient, f"sum of central charges = {total}, c(ambient, 1) = {ambient}")]
     if e.adjoint_branching is not None:
         rows.extend(embedding_index_check(e).rows)
     ranks = sum(alg.rank for alg, _ in e.factors)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qsqrt5 import closed_form_dimension, closed_form_value
+from .qsqrt5 import closed_form_value
 
 
 @dataclass(frozen=True)
@@ -42,26 +42,6 @@ IRR = BoundaryIndex("irr")
 def _check_stable(g: int, n: int):
     if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
-
-
-def reducible_index(g: int, n: int, h: int, markings) -> BoundaryIndex:
-    """Canonical, stability-checked index for the stratum splitting off (h, A)."""
-    _check_stable(g, n)
-    marked = set(markings)
-    a = tuple(sorted(marked))
-    if not 0 <= h <= g:
-        raise ValueError(f"side genus {h} out of range for genus {g}")
-    if any(m < 1 or m > n for m in a):
-        raise ValueError(f"markings {a} not within 1..{n}")
-    comp = tuple(m for m in range(1, n + 1) if m not in marked)
-    if h == 0 and len(a) < 2:
-        raise ValueError(f"stratum ({h}, {a}) has an unstable genus-0 side")
-    if g - h == 0 and len(comp) < 2:
-        raise ValueError(f"stratum ({h}, {a}) has an unstable genus-0 complement side")
-    other_h = g - h
-    if h > other_h or (h == other_h and n >= 1 and 1 not in a):
-        h, a = other_h, comp
-    return BoundaryIndex("red", h, a)
 
 
 def boundary_strata(g: int, n: int) -> list:
@@ -154,11 +134,11 @@ class ConsistencyReport:
 
 
 def relation_consistency(g: int, n: int) -> ConsistencyReport:
-    """Exact checks: the F recursion in the quadratic field, positivity, irr bound."""
+    """Exact checks: F(g, n) = F(g-1, n+2) + F(g-1, n) on the integers of recursion_values
+    (closed_form_value refuses a sqrt 5 part that does not cancel), positivity, irr bound."""
     if g < 1:
         raise ValueError("consistency checks need genus at least 1")
-    lhs = closed_form_dimension(g, n)
-    rhs = closed_form_dimension(g - 1, n + 2) + closed_form_dimension(g - 1, n)
+    values = (closed_form_value(g, n), closed_form_value(g - 1, n + 2), closed_form_value(g - 1, n))
     rel = emit_relation(g, n)
     positive = all(c > 0 for _, c in rel.boundary)
     irr_coeff = rel.boundary_map()[IRR]
@@ -166,8 +146,8 @@ def relation_consistency(g: int, n: int) -> ConsistencyReport:
     return ConsistencyReport(
         g=g,
         n=n,
-        recursion_holds=lhs == rhs,
-        recursion_values=(closed_form_value(g, n), closed_form_value(g - 1, n + 2), closed_form_value(g - 1, n)),
+        recursion_holds=values[0] == values[1] + values[2],
+        recursion_values=values,
         boundary_numerators_positive=positive,
         irr_coeff=irr_coeff,
         irr_below_one=below,

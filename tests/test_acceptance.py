@@ -19,3 +19,4 @@ def test_run_all_is_complete_and_ordered():
     results = run_all()
     assert [r.number for r in results] == list(range(1, 11))
     assert all(r.passed for r in results)
+    assert all(type(r.passed) is bool for r in results)  # no wrapper coerces a criterion's verdict

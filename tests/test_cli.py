@@ -246,6 +246,14 @@ def test_correlator_script(capsys, tmp_path):
     assert code == 2
 
 
+def test_correlator_script_with_two_levels_exits_two(capsys, tmp_path):
+    script = tmp_path / "s.txt"
+    script.write_text("level 2\nlevel 5\nslot2: X+a(-1)\nslot3: X-a(-1)\n")
+    for flags in ([], ["--json"]):
+        code, out, err = run(capsys, "correlator", "--script", str(script), *flags)
+        assert (code, out, err) == (2, "", "error: level given twice\n")
+
+
 def test_pic_relation(capsys):
     code, out, _ = run(capsys, "pic-relation", "--genus", "2", "--markings", "0", "--json")
     doc = json.loads(out)
@@ -384,6 +392,56 @@ PINNED_JSON_DIGESTS = {
 }
 
 
+# sha256 of the human-readable stdout of the same commands, plus one embedding
+# check; verify-all stays out, since criterion 7 prints its wall time
+PINNED_TEXT_DIGESTS = {
+    "root-system --algebra G2": "f3aac1908298cc917a4dc69fb1d828df895a6925b6175e79722457af73c1d696",
+    "root-system --algebra F4": "75f9e38a93be54ac550e13bcf531a3f40a7549d992a02bbaa3016818feb486a8",
+    "root-system --algebra E8": "f13ca8dc154616660d75c9cb166d924b88f652a12bee9b97985a7ace4302ccea",
+    "fusion --algebra G2 --level 1": "a3d29a81632562c888b8a8fbb56bb778c1715c4c295e567c3ea6ca046d9beb68",
+    "fusion --algebra G2 --level 2": "41480bead58e13a52c342f839c8ec879a38bd19e2ff7a96658c43a7fa7a88460",
+    "fusion --algebra G2 --level 3": "f5ee018713d6b72640550f39ee2fd18ce7c082f0239c7bd8074aa4e2157a057b",
+    "fusion --algebra F4 --level 1": "333775fadd1477d0a58bfcd1d347861c26db376d53fac8cb7297e9967d6d20a3",
+    "fusion --algebra F4 --level 2": "d1e34f4ab64a90dc0f10dcd631c0f277a4fabc543d27e5ccbc6758dbeed146a7",
+    "fusion --algebra F4 --level 3": "a91a8793bc89ee1de508abe8a6070c722eb05e213bebeed1d06a45686ca4d194",
+    "verlinde --algebra E8 --level 1 --genus 3": "932761d0ce99d3aa143d35c76f79a2c3dd7ecd54b55e6bc157147bb30e3e2df5",
+    "verlinde --algebra G2 --level 1 --genus 0 --weights [1,0]x3": (
+        "932761d0ce99d3aa143d35c76f79a2c3dd7ecd54b55e6bc157147bb30e3e2df5"
+    ),
+    "verlinde --algebra F4 --level 1 --genus 3": "760df68b07d6f061263cab1908bedecb46240075551c2d08b1cccb4cb0bb4803",
+    "verlinde --algebra G2 --level 3 --genus 0 --weights [1,0] [0,1] [1,1] [2,0]": (
+        "69bb678596ce5127036c450bcb583d995fba55162a4697f3f871120ca0282a7e"
+    ),
+    "verlinde --algebra G2 --level 3 --genus 1 --weights [1,0]x2 [3,0]": (
+        "f1558a027027969b47ddc92d3bb9b8134aab3f4bfd3dfa2f535a20f1f16f9e52"
+    ),
+    "verlinde --algebra G2 --level 3 --genus 2 --weights [0,1] [1,1]": (
+        "53de394ec78b794b7995ab6e0c23e3946fd32e53019b92f90ddc3fca6fac597e"
+    ),
+    "verlinde --algebra F4 --level 2 --genus 0 --weights [0,0,0,1]x3 [0,0,1,0] [1,0,0,0]": (
+        "6cb8e636518610c449ac41d0160ed045b1f3077d7b1b8fba47d5da8d7e7d80e5"
+    ),
+    "verlinde --algebra F4 --level 2 --genus 1 --weights [0,0,0,2] [1,0,0,0]": (
+        "e308b17d29a02c0616299f150a8b84d66c0598868ad3a156198f4bfc2cf15ddb"
+    ),
+    "verlinde --algebra F4 --level 2 --genus 2 --weights [0,0,0,1] [0,0,1,0]": (
+        "4df106ba335adb7f5846bce0d5df3473603a07f8506d0c2d8bcc90e0f21febd9"
+    ),
+    "pic-relation --genus 1 --markings 3": "a22a9523a01f38e9f44e1089e1646af9dc2f0905710c859e275743e3d752a1cb",
+    "pic-relation --genus 2 --markings 4": "ad5c06bf3ed3a04777e77611fcc67f2466d7f634efa8903566dc72f168e8819d",
+    "correlator --case I": "f64aa75c635a85a7eccb40d8ca25e2c667fbb8f8ed813dce3f20fbafe95edf5a",
+    "correlator --case II": "982cee96096f693f9947e96bdc348a4d8863d28ee4ec9729fe4fad398bbf28e8",
+    "correlator --case III": "dcccf62c78c29da8edc4cb91efc277ebce1ae4f927b6ed83370e9f51c77580a7",
+    "correlator --case III --level 4": "a5bf9070b2adff2ee104b9177369b3f90afb84005c29e2385f71807d033e7528",
+    "correlator --script h3x3.txt": "e9a6adea67118c09604d54cd5dfc208623b7d8e4b25862f25a5b966a4a860c18",
+    "correlator --script mixed.txt": "3baacee7c453c76ada1aeaa60fe1fadac1b4f0a4a8c5c8c7f9f9bac5796e8a43",
+    "correlator --script deep.txt": "35a08e43e70372e437bb5d145047904771dded78b3556362968464bd3cfdc3a2",
+    "embedding list": "4feb0d221453790cfaf69785e94e1ccefe5e79b9afae3363d2c632f7d22109d2",
+    "branch-verify": "fde07d668a4928ed26d334f7eece385d8e53aa52c9260899365ac59f36085a18",
+    "embedding check --name g2xf4-in-e8": "d679c23a1e7c1e866fffa8c7edfc9c3c305122ab3a0ddd6dd942240e1bcf03fd",
+}
+
+
 # the scripts behind the --script pins, written under these names (the JSON
 # records the path); mixed.txt (depth 7) and deep.txt (depth 9) carry
 # nonnegative modes inside words
@@ -422,6 +480,16 @@ def test_json_outputs_byte_stable(capsys, monkeypatch, tmp_path):
         assert first == second, argv
     for command, digest in PINNED_JSON_DIGESTS.items():
         code, out, _ = run(capsys, *command.split(), "--json")
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_text_outputs_byte_stable(capsys, monkeypatch, tmp_path):
+    for name, text in PINNED_SCRIPTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    for command, digest in PINNED_TEXT_DIGESTS.items():
+        code, out, _ = run(capsys, *command.split())
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 

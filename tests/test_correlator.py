@@ -676,6 +676,19 @@ def test_script_errors():
             parse_script(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("level 2\nlevel 5\n", "level given twice"),  # the last of two used to win silently
+        ("level 1\n# same value\nlevel 1\n", "level given twice"),
+        ("slot2: H(-1)\nslot2: H(-1)\n", "slot2 given twice"),
+    ],
+)
+def test_script_refuses_a_repeated_directive(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_script(text)
+
+
 def test_script_empty_is_vacuum_case():
     state, env = parse_script("# nothing\n")
     assert reduce_state(state, env) == 1

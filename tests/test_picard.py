@@ -5,17 +5,39 @@ from fractions import Fraction
 
 import pytest
 
+from wzw import picard
 from wzw.picard import (
     IRR,
     MAX_RELATION_SIZE,
     BoundaryIndex,
+    _check_stable,
     boundary_strata,
     emit_relation,
-    reducible_index,
     relation_consistency,
     relation_json_obj,
 )
 from wzw.qsqrt5 import closed_form_value
+
+
+def reducible_index(g: int, n: int, h: int, markings) -> BoundaryIndex:
+    """Canonical, stability-checked index for the stratum splitting off (h, A):
+    the reference that boundary_strata is compared against."""
+    _check_stable(g, n)
+    marked = set(markings)
+    a = tuple(sorted(marked))
+    if not 0 <= h <= g:
+        raise ValueError(f"side genus {h} out of range for genus {g}")
+    if any(m < 1 or m > n for m in a):
+        raise ValueError(f"markings {a} not within 1..{n}")
+    comp = tuple(m for m in range(1, n + 1) if m not in marked)
+    if h == 0 and len(a) < 2:
+        raise ValueError(f"stratum ({h}, {a}) has an unstable genus-0 side")
+    if g - h == 0 and len(comp) < 2:
+        raise ValueError(f"stratum ({h}, {a}) has an unstable genus-0 complement side")
+    other_h = g - h
+    if h > other_h or (h == other_h and n >= 1 and 1 not in a):
+        h, a = other_h, comp
+    return BoundaryIndex("red", h, a)
 
 
 def brute_force_strata(g, n):
@@ -153,6 +175,18 @@ def test_recursion_consistency_grid():
     # the recursion instance behind the genus-2 value: 5 = 3 + 2
     values = relation_consistency(2, 0).recursion_values
     assert values == (5, 3, 2)
+
+
+@pytest.mark.parametrize("wrong", [(2, 1), (1, 3), (1, 1)])
+def test_recursion_check_catches_one_wrong_value(monkeypatch, wrong):
+    # the recursion is checked on the integers relation_consistency reports
+    def off_by_one(g, n):
+        return closed_form_value(g, n) + ((g, n) == wrong)
+
+    monkeypatch.setattr(picard, "closed_form_value", off_by_one)
+    report = relation_consistency(2, 1)
+    assert report.recursion_holds is False and report.passed is False
+    assert report.recursion_values == tuple(closed_form_value(*gn) + (gn == wrong) for gn in ((2, 1), (1, 3), (1, 1)))
 
 
 def test_irr_coefficient_below_one_for_higher_genus():

@@ -218,6 +218,19 @@ def test_cli_and_package_import_heavy_modules_lazily():
                     assert not names & lazy, (module, node.lineno)
 
 
+def test_only_cli_main_prints():
+    # one output path: each subcommand returns (doc, lines, passed) and main writes them
+    tree = _tree("cli")
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "print")
+        or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"))
+    ]
+    assert writes and all(main.lineno <= line <= main.end_lineno for line in writes)
+
+
 def test_correlator_engine_is_iterative():
     # a function that names itself can recurse past the interpreter's limit on a long word
     tree = _tree("correlator")
