@@ -511,6 +511,10 @@ def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget:
 # Cap on the operators of one script.  It bounds the parse, not the time of a
 # reduction, which grows fast with the operators, their modes and the level.
 MAX_SCRIPT_OPERATORS = 200
+# Cap on the total depth sum |mode| of one script.  The reduction keeps a layer per unit
+# of depth; at the cap a one-operator script answers in 0.1-0.2 s cold, at 10^6 in 0.6 s
+# and 85 MB.
+MAX_SCRIPT_DEPTH = 10_000
 
 _TERM_RE = re.compile(r"^(?:X([+-])([A-Za-z][A-Za-z0-9_]*)|H)\((-?\d+)\)$")
 _SLOT_RE = re.compile(r"^slot([123])\s*:\s*(.*)$")
@@ -560,7 +564,10 @@ def parse_script(text: str):
             else:
                 ops.append(root_mode(root, +1 if sign == "+" else -1, int(mode)))
         slots[idx] = tuple(ops)
-    if sum(len(w) for w in slots.values() if w) > MAX_SCRIPT_OPERATORS:
+    operators = [op for w in slots.values() if w for op in w]
+    if len(operators) > MAX_SCRIPT_OPERATORS:
         raise ValueError(f"script has more than {MAX_SCRIPT_OPERATORS} operators (the cap)")
+    if sum(abs(op.mode) for op in operators) > MAX_SCRIPT_DEPTH:
+        raise ValueError(f"script modes sum to more than {MAX_SCRIPT_DEPTH} in absolute value (the cap)")
     state = CorrelatorState.single(slots[1] or (), slots[2] or (), slots[3] or ())
     return state, PairingEnv(level=1 if level is None else level)

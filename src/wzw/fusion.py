@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, mul
 
 from .lie import (
@@ -53,28 +53,28 @@ class FusionRing:
         d = self.datum
         return d.weight(d.dominant(tuple(-x for x in w.labels)))
 
-    def _table(self, x: Weight, y: Weight) -> dict:
-        """The cached Kac-Walton table of x * y; read it, never change it."""
-        self.index(x), self.index(y)
-        return _kac_walton(self.algebra, self.level, *sorted((x.labels, y.labels)))
-
     def product(self, x: Weight, y: Weight) -> dict:
         """Fusion product as a new dict Weight -> N^nu_{xy}."""
-        return dict(self._table(x, y))
+        row = _kac_walton(self.algebra, self.level, *sorted((self.index(x), self.index(y))))
+        return {z: m for z, m in zip(self.basis, row) if m}
 
     def coefficient(self, x: Weight, y: Weight, z: Weight) -> int:
         """N_{xy}^z."""
-        self.index(z)
-        return self._table(x, y).get(z, 0)
+        k = self.index(z)
+        return _kac_walton(self.algebra, self.level, *sorted((self.index(x), self.index(y))))[k]
 
 
 @lru_cache(maxsize=None)
-def _kac_walton(algebra: LieAlgebraId, level: int, x: tuple, y: tuple) -> dict:
-    """Kac-Walton product of two sorted label tuples: one alcove fold of x + wt(y), dim y <= dim x."""
-    d = build_root_datum(algebra)
-    x, y = sorted((x, y), key=lambda w: weyl_dimension(d, d.weight(w)), reverse=True)
-    terms = ((map(add, x, nu), m) for nu, m in weight_system_cached(algebra, y).items())
-    return fold_sum(d, terms, level + d.dual_coxeter)
+def _kac_walton(algebra: LieAlgebraId, level: int, a: int, b: int) -> tuple:
+    """Row N_ab over basis indices, a <= b, shared by N_a and N_b: one alcove fold of x + wt(y), dim y <= dim x."""
+    ring = fusion_ring(algebra, level)
+    d = ring.datum
+    x, y = sorted((ring.basis[a], ring.basis[b]), key=partial(weyl_dimension, d), reverse=True)
+    terms = ((map(add, x.labels, nu), m) for nu, m in weight_system_cached(algebra, y.labels).items())
+    row = [0] * len(ring.basis)
+    for z, m in fold_sum(d, terms, level + d.dual_coxeter).items():
+        row[ring.basis_index[z]] = m
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
@@ -107,18 +107,16 @@ def _dual_indices(algebra: LieAlgebraId, level: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _fusion_matrix(algebra: LieAlgebraId, level: int, x: int) -> tuple:
-    """N_x over basis indices: row a scatters x * a, N_x[a][b] = N_{xa}^b.
+    """N_x over basis indices: row a is the shared row of x * a, N_x[a][b] = N_{xa}^b.
 
     Checked against N_xa^b = N_xb*^a*; over all x that is the full-table check."""
-    ring = fusion_ring(algebra, level)
-    basis, index, dual, idx = ring.basis, ring.basis_index, _dual_indices(algebra, level), range(len(ring.basis))
-    n = [[0] * len(basis) for _ in idx]
-    for a, y in enumerate(basis):
-        for z, m in ring._table(basis[x], y).items():
-            n[a][index[z]] = m
-    if any(n[a] != [n[dual[b]][dual[a]] for b in idx] for a in idx):
+    dual = _dual_indices(algebra, level)
+    idx = range(len(dual))
+    n = tuple(_kac_walton(algebra, level, *sorted((x, a))) for a in idx)
+    if any(n[a][b] != n[dual[b]][dual[a]] for a in idx for b in idx):
+        basis = fusion_ring(algebra, level).basis
         raise InvariantError(f"{algebra} level {level}: fusion table breaks N_xy^z = N_xz*^y* at x = {basis[x]}")
-    return tuple(map(tuple, n))
+    return n
 
 
 @lru_cache(maxsize=None)

@@ -217,10 +217,6 @@ class RootDatum:
 
     # -- coordinate changes ------------------------------------------------
 
-    def root_labels(self, beta: RootCoords) -> Labels:
-        """Dynkin labels of a vector given in simple-root coordinates."""
-        return tuple(sum(self.cartan[i][j] * beta[j] for j in range(self.rank)) for i in range(self.rank))
-
     def root_coords(self, labels: Labels):
         """Simple-root coordinates of a weight, or None off the root lattice.
 
@@ -643,27 +639,28 @@ class WeightSystem:
 
 @lru_cache(maxsize=None)
 def weight_system_cached(algebra: LieAlgebraId, lam: Labels):
-    """Weyl-orbit closure of the depth-0 rows of L(lam) at level max(1, (lam, theta)),
-    which hold every dominant mu <= lam.  Weights whose coefficient box c <= A^{-1} lam
-    has more than MAX_WEIGHT_BOX points are refused before any module is built."""
+    """Weyl-orbit closure of the depth-0 rows of L(lam) at level max(1, (lam, theta)), which hold
+    every dominant mu <= lam, checked once against the Weyl dimension.  Weights whose coefficient
+    box c <= A^{-1} lam has more than MAX_WEIGHT_BOX points are refused before any module is built."""
     d = build_root_datum(algebra)
     box = math.prod(
         sum(g * x for g, x in zip(row, lam)) // s + 1 for row, s in zip(d.gram, d.scaled_symmetrizer)
     )
     if box > MAX_WEIGHT_BOX:
         raise ValueError("weight system too large for exact enumeration")
-    module = graded_module(algebra, max(1, d.level_of(lam)), d.weight(lam))
+    top = d.weight(lam)
+    module = graded_module(algebra, max(1, d.level_of(lam)), top)
     module.graded_dims(0)
-    return {w: m for (mu, k), m in module._mult.items() if k == 0 and m for w in d.weyl_orbit(mu)}
+    table = {w: m for (mu, k), m in module._mult.items() if k == 0 and m for w in d.weyl_orbit(mu)}
+    if sum(table.values()) != weyl_dimension(d, top):
+        raise InvariantError(f"weight system of {top} misses the Weyl dimension")
+    return table
 
 
 def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:
     check_weight(d, lam)
     full = weight_system_cached(d.algebra, tuple(lam.labels))
-    ws = WeightSystem(lam, {d.weight(k): v for k, v in full.items()})
-    if ws.dimension != weyl_dimension(d, lam):
-        raise InvariantError(f"weight system of {lam} misses the Weyl dimension")
-    return ws
+    return WeightSystem(lam, {d.weight(k): v for k, v in full.items()})
 
 
 def fold_sum(d: RootDatum, terms, kappa=None) -> dict:

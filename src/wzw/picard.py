@@ -83,15 +83,17 @@ class PicRelation:
         return dict(self.boundary)
 
 
-MAX_RELATION_SIZE = 1 << 16  # cap on (g + 1) 2^n, about twice the number of strata
+# Cap on the price (g + 1)(1 + g/128) 2^n of a relation: (g + 1) 2^n is about twice the
+# number of strata, and the F values behind each row grow by a digit every two genera.
+MAX_RELATION_SIZE = 1 << 16
 
 
 def emit_relation(g: int, n: int) -> PicRelation:
     """Fill every coefficient of the relation from the closed form, exactly."""
     _check_stable(g, n)
-    # n first, since 2^n of a huge n does not fit in memory
-    if n >= MAX_RELATION_SIZE.bit_length() or (g + 1) << n > MAX_RELATION_SIZE:
-        raise ValueError(f"(g + 1) * 2^n at (g, n) = ({g}, {n}) is above the cap {MAX_RELATION_SIZE}")
+    # n first, since 2^n of a huge n does not fit in memory; no F value is computed before this
+    if n >= MAX_RELATION_SIZE.bit_length() or (g + 1) * (g + 128) << n > MAX_RELATION_SIZE << 7:
+        raise ValueError(f"(g + 1)(1 + g/128) * 2^n at (g, n) = ({g}, {n}) is above the cap {MAX_RELATION_SIZE}")
     strata = boundary_strata(g, n)
     fgn = closed_form_value(g, n)
     if fgn == 0:
@@ -138,8 +140,8 @@ def relation_consistency(g: int, n: int) -> ConsistencyReport:
     (closed_form_value refuses a sqrt 5 part that does not cancel), positivity, irr bound."""
     if g < 1:
         raise ValueError("consistency checks need genus at least 1")
+    rel = emit_relation(g, n)  # refuses above the cap before any F value is computed
     values = (closed_form_value(g, n), closed_form_value(g - 1, n + 2), closed_form_value(g - 1, n))
-    rel = emit_relation(g, n)
     positive = all(c > 0 for _, c in rel.boundary)
     irr_coeff = rel.boundary_map()[IRR]
     below = bool(irr_coeff < 1) if (g >= 2 and n == 0) else None

@@ -4,15 +4,17 @@ import functools
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from wzw import acceptance, cli, correlator, fusion, lie, smatrix
+from wzw import acceptance, cli, correlator, fusion, lie, picard, smatrix
 from wzw.acceptance import CriterionResult
 from wzw.fusion import MAX_GENUS, MAX_INSERTIONS
 from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
@@ -270,18 +272,46 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _cold(*argv):
+    """One fresh `python -m wzw.cli` process under a 2 GB address-space limit: (seconds, result)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "wzw.cli", *argv],
+        capture_output=True, env=env, text=True, preexec_fn=_limit_address_space, timeout=60,
+    )
+    return time.perf_counter() - start, done
+
+
+def _assert_fast_refusal(seconds, done, what):
+    assert seconds < 1, what
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ") and "cap" in done.stderr
+
+
 def test_pic_relation_refuses_oversized_input_fast():
     # fresh processes under a 2 GB address-space limit, so a huge 2^n cannot be built
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     for markings in ("22", "100000000000"):
-        start = time.perf_counter()
-        done = subprocess.run(
-            [sys.executable, "-m", "wzw.cli", "pic-relation", "--genus", "1", "--markings", markings],
-            capture_output=True, env=env, text=True, preexec_fn=_limit_address_space,
-        )
-        assert time.perf_counter() - start < 1, markings
-        assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: ") and "cap" in done.stderr
+        _assert_fast_refusal(*_cold("pic-relation", "--genus", "1", "--markings", markings), markings)
+
+
+@pytest.mark.parametrize("g, n", [(2832, 0), (0, 16)])
+def test_pic_relation_answers_at_the_cap_and_refuses_one_past(g, n):
+    # the price (g + 1)(1 + g/128) 2^n grows with the digits of F: (2832, 0) is the last
+    # admitted genus without markings, and (0, 16) the last admitted marking count
+    cap = picard.MAX_RELATION_SIZE << 7
+    past = (g + 1, n) if n == 0 else (g, n + 1)
+    assert (g + 1) * (g + 128) << n <= cap < (past[0] + 1) * (past[0] + 128) << past[1]
+    _, done = _cold("pic-relation", "--genus", str(g), "--markings", str(n), "--json")
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["rhs"]["g2_block"] == str(Fraction(1, closed_form_value(g, n)))
+    _assert_fast_refusal(*_cold("pic-relation", "--genus", str(past[0]), "--markings", str(past[1])), past)
+
+
+@pytest.mark.parametrize("g, n", [(4095, 3), (16000, 0), (65535, 0), (10**30, 1)])
+def test_pic_relation_refuses_a_large_genus_before_any_closed_form_value(g, n):
+    # each of these took seconds to minutes, or failed converting F to a string, below the old cap
+    _assert_fast_refusal(*_cold("pic-relation", "--genus", str(g), "--markings", str(n)), (g, n))
 
 
 @pytest.mark.parametrize(
@@ -343,6 +373,21 @@ def test_correlator_script_operator_cap(capsys, tmp_path):
     script.write_text("slot1: X+a(0)" + " H(-1)" * (correlator.MAX_SCRIPT_OPERATORS - 1) + "\n")
     code, out, _ = run(capsys, "correlator", "--script", str(script), "--json")
     assert code == 0 and json.loads(out)["value"] == "0"
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2), (10**23, 2)])
+def test_correlator_script_depth_cap(tmp_path, extra, code):
+    # the reduction keeps one layer per unit of depth, so a deep script is refused at the
+    # parse, in a fresh process under a 2 GB address-space limit
+    script = tmp_path / "s.txt"
+    script.write_text(f"slot1: H(-{correlator.MAX_SCRIPT_DEPTH + extra})\n")
+    seconds, done = _cold("correlator", "--script", str(script), "--json")
+    if code == 0:
+        assert done.returncode == 0 and json.loads(done.stdout)["value"] == "0"
+    else:
+        _assert_fast_refusal(seconds, done, extra)
+        assert str(correlator.MAX_SCRIPT_DEPTH) in done.stderr
+
 
 # sha256 of the --json stdout, pinned so a refactor cannot change any byte
 PINNED_JSON_DIGESTS = {
@@ -440,6 +485,18 @@ PINNED_TEXT_DIGESTS = {
     "branch-verify": "fde07d668a4928ed26d334f7eece385d8e53aa52c9260899365ac59f36085a18",
     "embedding check --name g2xf4-in-e8": "d679c23a1e7c1e866fffa8c7edfc9c3c305122ab3a0ddd6dd942240e1bcf03fd",
 }
+
+
+# sha256 of the `verify-all --json` stdout with criterion 7's wall time masked; criteria
+# 3-5 and 10 read fusion through verlinde_dim and coefficient, so any other changed byte fails
+VERIFY_ALL_JSON_DIGEST = "f2b82b64b25979da9df7601302360efa8633a8d8b97aeb275dd0fbeaded790bd"
+
+
+def test_verify_all_json_byte_stable_but_for_the_wall_time(capsys):
+    code, out, _ = run(capsys, "verify-all", "--json")
+    assert code == 0
+    masked = re.sub(r'; [0-9.]+s"', '; <t>s"', out)
+    assert hashlib.sha256(masked.encode()).hexdigest() == VERIFY_ALL_JSON_DIGEST
 
 
 # the scripts behind the --script pins, written under these names (the JSON
@@ -551,14 +608,13 @@ def test_broken_invariant_exits_one_with_one_line(capsys, monkeypatch):
 
 def test_fusion_prints_only_a_checked_table(capsys, monkeypatch):
     # N_tau,tau^vac raised to 2 breaks N_xy^z = N_xz*^y*; the table must not print it
+    # (it is entry 0 of the row of basis indices (1, 1))
     real = fusion._kac_walton
     g2 = LieAlgebraId("G", 2)
 
-    def planted(algebra, level, x, y):
-        out = dict(real(algebra, level, x, y))
-        if (algebra, x, y) == (g2, (1, 0), (1, 0)):
-            out[build_root_datum(g2).weight((0, 0))] += 1
-        return out
+    def planted(algebra, level, a, b):
+        row = real(algebra, level, a, b)
+        return (row[0] + 1,) + row[1:] if (algebra, level, a, b) == (g2, 1, 1, 1) else row
 
     fusion._fusion_matrix.cache_clear()
     monkeypatch.setattr(fusion, "_kac_walton", planted)

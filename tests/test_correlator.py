@@ -689,6 +689,15 @@ def test_script_refuses_a_repeated_directive(text, message):
         parse_script(text)
 
 
+def test_script_depth_cap_counts_every_mode():
+    half = correlator.MAX_SCRIPT_DEPTH // 2
+    parse_script(f"slot1: H(-{half})\nslot2: X+a({correlator.MAX_SCRIPT_DEPTH - half})\n")
+    with pytest.raises(ValueError, match=f"more than {correlator.MAX_SCRIPT_DEPTH} in absolute value"):
+        parse_script(f"slot1: H(-{half})\nslot2: X+a({correlator.MAX_SCRIPT_DEPTH - half + 1})\n")
+    # the README's deep example, total depth 3,002, stays admitted
+    parse_script("level 3\nslot1: H(-1000)\nslot2: X+a(-1000) X-a(-1)\nslot3: X-a(-1000) X+a(-1)\n")
+
+
 def test_script_empty_is_vacuum_case():
     state, env = parse_script("# nothing\n")
     assert reduce_state(state, env) == 1

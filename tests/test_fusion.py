@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wzw import fusion
+from wzw import fusion, lie
 from wzw.fusion import (
     MAX_GENUS,
     MAX_INSERTIONS,
@@ -275,15 +275,12 @@ def test_one_alcove_fold_matches_tensor_product_then_fold(name, level):
 
 def _plant_tau_tau_vacuum(monkeypatch):
     # N_tau,tau^vac sits in an S3 orbit of three table entries, so raising it alone
-    # breaks N_xy^z = N_xz*^y*
+    # breaks N_xy^z = N_xz*^y*; it is entry 0 of the row of basis indices (1, 1)
     real = fusion._kac_walton
-    vac, tau = fusion_ring(G2, 1).basis
 
-    def planted(algebra, level, x, y):
-        out = dict(real(algebra, level, x, y))
-        if (algebra, x, y) == (G2, tau.labels, tau.labels):
-            out[vac] += 1
-        return out
+    def planted(algebra, level, a, b):
+        row = real(algebra, level, a, b)
+        return (row[0] + 1,) + row[1:] if (algebra, level, a, b) == (G2, 1, 1, 1) else row
 
     _clear_matrix_caches()
     monkeypatch.setattr(fusion, "_kac_walton", planted)
@@ -325,3 +322,51 @@ def test_genus_zero_builds_only_the_inserted_matrices(monkeypatch):
         assert _handle.cache_info().currsize == 0
     finally:
         _clear_matrix_caches()
+
+
+def test_each_row_is_one_object_shared_by_both_fusion_matrices():
+    ring = fusion_ring(G2, 3)
+    n = len(ring.basis)
+    for x, a in itertools.product(range(n), repeat=2):
+        row = _fusion_matrix(G2, 3, x)[a]
+        assert row is _fusion_matrix(G2, 3, a)[x]
+        assert row == tuple(ring.coefficient(ring.basis[x], ring.basis[a], z) for z in ring.basis)
+
+
+def test_genus_one_stores_one_row_per_unordered_pair():
+    ring = fusion_ring(F4, 2)
+    n = len(ring.basis)
+    _clear_matrix_caches()
+    fusion._kac_walton.cache_clear()
+    assert verlinde_dim(ring, CurveData(1, ())) == n
+    assert fusion._kac_walton.cache_info().currsize == n * (n + 1) // 2
+
+
+def _plant_weight_table(monkeypatch, algebra, labels):
+    # the highest weight of L(labels) counted twice: the table misses the Weyl dimension
+    real = lie.graded_module
+
+    def planted(alg, level, highest):
+        module = real.__wrapped__(alg, level, highest)
+        module.graded_dims(0)
+        if (alg, highest.labels) == (algebra, labels):
+            module._mult[labels, 0] += 1
+        return module
+
+    lie.weight_system_cached.cache_clear()
+    fusion._kac_walton.cache_clear()
+    monkeypatch.setattr(lie, "graded_module", planted)
+
+
+@pytest.mark.parametrize("read", ["product", "tensor_decompose"])
+def test_a_weight_table_off_its_dimension_raises_on_the_first_read(monkeypatch, read):
+    ring = fusion_ring(G2, 2)
+    x, y = ring.basis[1], ring.basis[2]
+    small = min((x, y), key=lambda w: lie.weyl_dimension(ring.datum, w))
+    _plant_weight_table(monkeypatch, G2, small.labels)
+    try:
+        with pytest.raises(InvariantError, match=rf"weight system of \[{small.labels[0]},{small.labels[1]}\]"):
+            ring.product(x, y) if read == "product" else tensor_decompose(ring.datum, x, y)
+    finally:
+        lie.weight_system_cached.cache_clear()
+        fusion._kac_walton.cache_clear()

@@ -39,6 +39,11 @@ F4 = LieAlgebraId("F", 4)
 E8 = LieAlgebraId("E", 8)
 
 
+def _root_labels(d, beta):
+    """Dynkin labels of a vector in simple-root coordinates, read off the Cartan matrix."""
+    return tuple(sum(c * b for c, b in zip(row, beta)) for row in d.cartan)
+
+
 def fraction_symmetrizer(series, rank):
     """d_i = (alpha_i, alpha_i) / 2 with (theta, theta) = 2, per series."""
     one, half, third = Fraction(1), Fraction(1, 2), Fraction(1, 3)
@@ -194,7 +199,7 @@ def full_fold(d, labels, level):
         excess = sum(a * x for a, x in zip(d.comarks, lab)) - level
         if excess <= 0:
             return tuple(lab), shift
-        theta = d.root_labels(d.highest_root)
+        theta = _root_labels(d, d.highest_root)
         lab = [x - excess * t for x, t in zip(lab, theta)]
         shift += excess
 

@@ -88,6 +88,9 @@ def test_relation_size_cap():
         emit_relation(0, MAX_RELATION_SIZE.bit_length())
     with pytest.raises(ValueError, match="cap"):
         emit_relation(1, 22)
+    # the price grows with the digits of F, so a large genus is refused before any F value
+    with pytest.raises(ValueError, match="cap"):
+        relation_consistency(16000, 0)
 
 
 def test_strata_examples():
