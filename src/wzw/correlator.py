@@ -15,8 +15,10 @@ per slot pair.  The reduction keeps its open terms in layers by total depth
 and empties the deepest layer first.  Every contribution to a term comes
 from a deeper one, so a term is complete when its layer is reached; the
 order inside a layer does not matter, and depth 0 holds only the all-vacuum
-term, whose coefficient is the result.  Normal ordering is one iterative
-push of a nonnegative mode across a word of negative modes.
+term, whose coefficient is the result.  Modes are conserved, so a move
+files each new term by its depth without summing it.  Each layer keeps a
+bracket table and a push table while it is emptied.  Normal ordering is
+one iterative push of a nonnegative mode across a word of negative modes.
 
 Scalars are polynomials in declared pairing symbols; the central element
 acts by the integer level.  Coefficients are exact integers, and Fractions
@@ -28,10 +30,11 @@ two distinct root symbols is rejected, matching the declared symbol set.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple
 
 
@@ -120,6 +123,8 @@ class Poly:
         if isinstance(other, int):
             return self.scaled(other)
         other = self._coerce(other)
+        if len(other.terms) == 1 and () in other.terms:  # a constant: the monomials are kept, not rebuilt
+            return self.scaled(other.terms[()])
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -130,8 +135,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def scaled(self, k: int) -> "Poly":
-        """k * self for an integer k."""
+    def scaled(self, k) -> "Poly":
+        """k * self for a rational k."""
         p = Poly()
         if k:
             p.terms = {mono: k * c for mono, c in self.terms.items()}
@@ -351,7 +356,7 @@ def case_cartan_insertion(root: str = "b", cartan: str = "H") -> CorrelatorState
 # normal ordering and gauge moves
 
 
-def _push(word, op, env):
+def _push(word, op, env, brackets):
     """op . word |0> for an all-negative word and op.mode >= 0, as {word: coefficient}.
 
     The carried mode walks left to right.  At position j each bracket term
@@ -360,7 +365,9 @@ def _push(word, op, env):
     meets the vacuum and vanishes.  The stack holds one entry per position
     still to try, the rightmost on top, and what a bracket carries goes on
     top of the rest: a fixed depth-first order, which decides the failing
-    bracket that raises first.
+    bracket that raises first.  brackets[operator][carried] holds the
+    apply_bracket list of that pair for the operators that have a row: it
+    is filled here and shared by the caller's pushes.
     """
     out = {}
     # carried mode, coefficient (None: 1, saving a product), untouched start, kept, position
@@ -368,7 +375,11 @@ def _push(word, op, env):
     while todo:
         carried, coeff, start, kept, j = todo.pop()
         head = kept + word[start:j]
-        for c, bop in reversed(apply_bracket(carried, word[j], env)):
+        row = brackets.get(word[j], {})  # an operator without a row keeps nothing
+        terms = row.get(carried)
+        if terms is None:
+            terms = row[carried] = apply_bracket(carried, word[j], env)
+        for c, bop in reversed(terms):
             c = c if coeff is None else coeff * c
             if bop is not None and bop.mode >= 0:
                 todo.extend((bop, c, j + 1, head, i) for i in range(j + 1, len(word)))
@@ -386,7 +397,7 @@ def _normalize_word(word, env):
             if op.mode < 0:
                 _accumulate(new, (op,) + tail, coeff)
             else:
-                for tail2, c2 in _push(tail, op, env).items():
+                for tail2, c2 in _push(tail, op, env, {}).items():
                     _accumulate(new, tail2, coeff * c2)
         out = new
     return out
@@ -424,11 +435,16 @@ def _insertion_modes(i: int, j: int, n: int, max_mode: int):
     return out
 
 
-def _gauge_step(slots, i, env):
+def _gauge_step(slots, i, env, brackets, pushes):
     """One Ward-identity rewrite removing the leading operator of slot i.
 
-    Returns {slots: coefficient} with the identity's minus sign already
-    folded into the coefficients.
+    Returns {(k, slots): coefficient}, k the inserted mode, with the
+    identity's minus sign already folded into the coefficients.  Modes are
+    conserved, so removing the leading mode n from a term of depth d and
+    pushing k into another slot leaves a term of depth d + n - k.
+    pushes[word][carried] holds the _push result of that pair for the words
+    that have a row, and brackets is the bracket table of the pushes; both
+    are filled here, and what they hold is only read.
     """
     op = slots[i][0]
     rest_i = slots[i][1:]
@@ -439,13 +455,18 @@ def _gauge_step(slots, i, env):
     for j in range(3):
         if j == i:
             continue
-        cap = _depth(slots[j])
-        for k, c in _insertion_modes(i, j, n, cap):
-            for wj, c2 in _push(slots[j], ModeOp(op.kind, op.data, k), env).items():
+        word = slots[j]
+        for k, c in _insertion_modes(i, j, n, _depth(word)):
+            carried = ModeOp(op.kind, op.data, k)
+            row = pushes.get(word, {})  # a word without a row keeps nothing
+            pushed = row.get(carried)
+            if pushed is None:
+                pushed = row[carried] = _push(word, carried, env, brackets)
+            for wj, c2 in pushed.items():
                 new = list(slots)
                 new[i] = rest_i
                 new[j] = wj
-                _accumulate(out, tuple(new), c2.scaled(-c))
+                _accumulate(out, (k, tuple(new)), c2.scaled(-c))
     return out
 
 
@@ -463,7 +484,7 @@ def gauge_move(state: CorrelatorState, which_slot: int, op: ModeOp, env: Pairing
     for t in state.terms:
         if not t.slots[i] or t.slots[i][0] != op:
             raise ValueError(f"{op} is not the leading operator of slot {which_slot}")
-        for slots, coeff in _gauge_step(t.slots, i, env).items():
+        for (_, slots), coeff in _gauge_step(t.slots, i, env, {}, {}).items():
             new_terms.append(Term(t.coefficient * coeff, slots))
     return CorrelatorState(tuple(new_terms))
 
@@ -491,17 +512,32 @@ def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget:
             _accumulate(layers[depth], key, t.coefficient * c1 * c2 * c3)
     steps = 0
     while len(layers) > 1:
-        for key, poly in layers.pop().items():
+        layer = layers.pop()
+        if not layer:
+            continue
+        depth = len(layers)
+        # this layer's tables, dropped with it: a row for each word and each operator that
+        # occurs more than once in the layer, so that a push or bracket that recurs is evaluated once
+        pushes, ops = {}, {}
+        for word, count in Counter(chain.from_iterable(layer)).items():
+            if count > 1:
+                pushes[word] = {}
+            for op in word:
+                ops[op] = ops.get(op, 0) + count
+        brackets = {op: {} for op, count in ops.items() if count > 1}
+        while layer:
+            key, poly = layer.popitem()  # a moved term is freed at once
             steps += 1
             if steps > budget:
                 raise ReductionBudgetExceeded(
-                    f"no scalar after {budget} gauge moves; open terms remain at depth {len(layers)}"
+                    f"no scalar after {budget} gauge moves; open terms remain at depth {depth}"
                 )
             i = strategy(key)
             if not key[i]:
                 raise ValueError(f"strategy chose empty slot {i + 1}")
-            for slots, coeff in _gauge_step(key, i, env).items():
-                _accumulate(layers[sum(map(_depth, slots))], slots, poly * coeff)
+            removed = depth + key[i][0].mode
+            for (k, slots), coeff in _gauge_step(key, i, env, brackets, pushes).items():
+                _accumulate(layers[removed - k], slots, poly * coeff)
     return layers[0].get(((), (), ()), _ZERO)
 
 
@@ -515,8 +551,9 @@ MAX_SCRIPT_OPERATORS = 200
 # of depth; at the cap a one-operator script answers in 0.1-0.2 s cold, at 10^6 in 0.6 s
 # and 85 MB.
 MAX_SCRIPT_DEPTH = 10_000
+_DEPTH_REFUSAL = f"script modes sum to more than {MAX_SCRIPT_DEPTH} in absolute value (the cap)"
 
-_TERM_RE = re.compile(r"^(?:X([+-])([A-Za-z][A-Za-z0-9_]*)|H)\((-?\d+)\)$")
+_TERM_RE = re.compile(r"^(?:X([+-])([A-Za-z][A-Za-z0-9_]*)|H)\((-?)0*(\d+)\)$")
 _SLOT_RE = re.compile(r"^slot([123])\s*:\s*(.*)$")
 
 
@@ -540,12 +577,16 @@ def parse_script(text: str):
         if not line:
             continue
         if line.startswith("level"):
-            rest = line[len("level"):].strip()
-            if not rest.isdigit():
+            digits = line[len("level"):].strip()
+            if not digits.isdecimal():  # isdigit() also admits digits such as '²' that int() refuses
                 raise ValueError(f"bad level directive: {raw.strip()!r}")
             if level is not None:
                 raise ValueError("level given twice")
-            level = int(rest)
+            digits = digits.lstrip("0") or "0"
+            try:
+                level = int(digits)
+            except ValueError:  # more digits than int() converts
+                raise ValueError(f"level has {len(digits)} digits, too many to read") from None
             continue
         m = _SLOT_RE.match(line)
         if not m:
@@ -558,16 +599,16 @@ def parse_script(text: str):
             tm = _TERM_RE.match(tok)
             if not tm:
                 raise ValueError(f"cannot parse term {tok!r}")
-            sign, root, mode = tm.groups()
-            if sign is None:
-                ops.append(cartan_mode(int(mode)))
-            else:
-                ops.append(root_mode(root, +1 if sign == "+" else -1, int(mode)))
+            sign, root, minus, digits = tm.groups()
+            if len(digits) > len(str(MAX_SCRIPT_DEPTH)):  # refused before int() meets a huge string
+                raise ValueError(_DEPTH_REFUSAL)
+            mode = int(minus + digits)
+            ops.append(cartan_mode(mode) if sign is None else root_mode(root, +1 if sign == "+" else -1, mode))
         slots[idx] = tuple(ops)
     operators = [op for w in slots.values() if w for op in w]
     if len(operators) > MAX_SCRIPT_OPERATORS:
         raise ValueError(f"script has more than {MAX_SCRIPT_OPERATORS} operators (the cap)")
     if sum(abs(op.mode) for op in operators) > MAX_SCRIPT_DEPTH:
-        raise ValueError(f"script modes sum to more than {MAX_SCRIPT_DEPTH} in absolute value (the cap)")
+        raise ValueError(_DEPTH_REFUSAL)
     state = CorrelatorState.single(slots[1] or (), slots[2] or (), slots[3] or ())
     return state, PairingEnv(level=1 if level is None else level)

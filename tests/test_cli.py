@@ -389,6 +389,24 @@ def test_correlator_script_depth_cap(tmp_path, extra, code):
         assert str(correlator.MAX_SCRIPT_DEPTH) in done.stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("slot1: H(-" + "9" * 5000 + ")\n", f"more than {correlator.MAX_SCRIPT_DEPTH} in absolute value (the cap)"),
+        ("level " + "9" * 5000 + "\n", "level has 5000 digits"),
+    ],
+    ids=["mode", "level"],
+)
+def test_correlator_script_refuses_a_huge_digit_string(capsys, tmp_path, text, message):
+    # refused by the package before int() meets the digits and raises Python's own limit error
+    script = tmp_path / "s.txt"
+    script.write_text(text)
+    code, out, err = run(capsys, "correlator", "--script", str(script))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert "set_int_max_str_digits" not in err
+
+
 # sha256 of the --json stdout, pinned so a refactor cannot change any byte
 PINNED_JSON_DIGESTS = {
     "root-system --algebra G2": "fb9ccb837196d4c477b4f1874b93822cd58bdd1c51b0c5195c0faf22ced2727c",

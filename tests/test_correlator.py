@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wzw
@@ -21,6 +21,8 @@ from wzw.correlator import (
     ReductionBudgetExceeded,
     Term,
     _accumulate,
+    _depth,
+    _gauge_step,
     _insertion_modes,
     _push,
     apply_bracket,
@@ -236,6 +238,24 @@ def test_a_declared_rational_pairing_stays_exact():
     assert value.terms[()] == Fraction(-1, 2) and type(value.terms[()]) is Fraction
     assert value.json_obj()[0] == {"coefficient": "-1/2", "powers": {}}
     assert reduce_state(case_opposite_pair("a"), PairingEnv(level=3, xpair={"a": Fraction(1, 2)})) == Fraction(-3, 2)
+
+
+@given(
+    k=st.integers(0, 3),
+    mode=st.integers(1, 2),
+    level=st.integers(0, 5),
+    value=st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).filter(lambda q: abs(q) <= 3)),
+)
+@settings(max_examples=30, deadline=None)
+def test_declared_pairings_equal_substituted_symbols(k, mode, level, value):
+    # two routes to one value: declare a pairing up front, or reduce with its
+    # symbol and substitute afterwards; each reduction builds its own tables
+    state = _hxx(k, mode)
+    symbolic = reduce_state(state, PairingEnv(level=level))
+    assert reduce_state(state, PairingEnv(level, xpair={"a": value})) == symbolic.substitute({"xa": value})
+    declared = reduce_state(state, PairingEnv(level, cartan_values={("a", "H"): value}))
+    assert declared == symbolic.substitute({"aH": value})
+    assert reduce_state(state, PairingEnv(level=level)) == symbolic
 
 
 def test_integer_inputs_keep_int_coefficients_through_a_reduction(monkeypatch):
@@ -595,7 +615,26 @@ def test_push_matches_the_recursive_reference(data):
     word = tuple(data.draw(st.lists(_mode_ops(roots, st.integers(-3, -1)), max_size=6)))
     op = data.draw(_mode_ops(roots, st.integers(0, 2)))
     env = PairingEnv(level=data.draw(st.integers(0, 3)))
-    assert _outcome(_push, word, op, env) == _outcome(_reference_push, word, op, env)
+    want = _outcome(_reference_push, word, op, env)
+    # twice through one bracket table with a row for each operator of the word, as
+    # the pushes of one layer share it: the second push reads what the first evaluated
+    brackets = {x: {} for x in word}
+    for _ in range(2):
+        assert _outcome(lambda w, o, e: _push(w, o, e, brackets), word, op, env) == want
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_gauge_step_term_lies_at_the_depth_mode_conservation_gives(data):
+    # reduce_state files each term of a move at d + n - k without summing its modes
+    words = st.lists(_mode_ops(("a",), st.integers(-3, -1)), max_size=3).map(tuple)
+    slots = tuple(data.draw(words) for _ in range(3))
+    assume(any(slots))
+    i = data.draw(st.sampled_from([j for j in range(3) if slots[j]]))
+    d, n = sum(map(_depth, slots)), slots[i][0].mode
+    env = PairingEnv(level=data.draw(st.integers(0, 3)))
+    for k, key in _gauge_step(slots, i, env, {}, {}):
+        assert k >= 0 and sum(map(_depth, key)) == d + n - k
 
 
 def test_push_through_a_word_past_the_recursion_limit():
@@ -696,6 +735,21 @@ def test_script_depth_cap_counts_every_mode():
         parse_script(f"slot1: H(-{half})\nslot2: X+a({correlator.MAX_SCRIPT_DEPTH - half + 1})\n")
     # the README's deep example, total depth 3,002, stays admitted
     parse_script("level 3\nslot1: H(-1000)\nslot2: X+a(-1000) X-a(-1)\nslot3: X-a(-1000) X+a(-1)\n")
+
+
+def test_script_refuses_a_huge_mode_from_its_digits():
+    # int() would meet the 5,000-digit string first and raise Python's own digit-limit error
+    with pytest.raises(ValueError, match=f"more than {correlator.MAX_SCRIPT_DEPTH} in absolute value"):
+        parse_script("slot1: H(-" + "9" * 5000 + ")\n")
+    # leading zeros are not digits of the value
+    state, _ = parse_script("slot1: H(-" + "0" * 5000 + "1)\nslot2: H(-1)\n")
+    assert state.terms[0].slots[0] == (cartan_mode(-1),)
+
+
+def test_script_refuses_a_huge_level_with_its_own_message():
+    with pytest.raises(ValueError, match="level has 5000 digits") as info:
+        parse_script("level " + "9" * 5000 + "\n")
+    assert "set_int_max_str_digits" not in str(info.value)
 
 
 def test_script_empty_is_vacuum_case():

@@ -241,6 +241,48 @@ def test_correlator_engine_is_iterative():
         assert name not in names, name
 
 
+_MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem", "clear", "add", "__setitem__"}
+
+
+def test_correlator_tables_are_locals_of_one_layer():
+    # one bracket or push memo for a whole deep reduction grew to about 1 GB; the
+    # only module-level cache is the symbol cache, and each layer of reduce_state
+    # starts its own tables and drops them when it is done
+    tree = _tree("correlator")
+    top = _defined_names("correlator")
+    caches = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id in ("lru_cache", "cache") and isinstance(n.ctx, ast.Load)
+    ]
+    symbol = next(n for n in tree.body if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", "") == "_symbol")
+    assert caches == [symbol.lineno]
+    writes = []
+    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                writes.append(f"{fn.name}:{node.lineno}")
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                base = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                base = node.func.value
+            else:
+                continue
+            if isinstance(base, ast.Name) and base.id in top:
+                writes.append(f"{fn.name}:{node.lineno}")
+    assert writes == []
+    reduce = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "reduce_state")
+    loop = next(n for n in ast.walk(reduce) if isinstance(n, ast.While))
+    fresh = set()  # names the loop binds to a new dict
+    for node in (n for n in ast.walk(loop) if isinstance(n, ast.Assign)):
+        for target in node.targets:
+            tuples = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+            pairs = zip(target.elts, node.value.elts) if tuples else [(target, node.value)]
+            fresh |= {t.id for t, v in pairs if isinstance(t, ast.Name) and isinstance(v, (ast.Dict, ast.DictComp))}
+    assert {"brackets", "pushes"} <= fresh
+    step = next(n for n in ast.walk(loop) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_gauge_step")
+    assert [a.id for a in step.args[-2:]] == ["brackets", "pushes"]
+
+
 def test_correlator_pairings_are_read_only():
     # fallback symbols come from one module-level cache and Ward coefficients
     # from one running product, so the env holds only what was declared
