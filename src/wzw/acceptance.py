@@ -8,8 +8,8 @@ subcommand and the test suite both drive run_all().
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -39,8 +39,7 @@ E8 = LieAlgebraId("E", 8)
 BRANCHING_BUDGET_S = 60.0  # criterion 7 fails if the depth-3 branching takes longer
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     title: str
     passed: bool

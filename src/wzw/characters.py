@@ -13,7 +13,7 @@ of the Euler product.  The comparison lives in the test suite, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lie import LieAlgebraId, Weight, build_root_datum, graded_module, trace_anomaly
 
@@ -79,14 +79,12 @@ def lattice_character_dims(depth: int) -> tuple:
 # branching of one module into products of factor modules
 
 
-@dataclass(frozen=True)
-class BranchingSummand:
+class BranchingSummand(NamedTuple):
     weights: tuple  # one Weight per factor
     offset: int  # depth shift, a nonnegative integer
 
 
-@dataclass(frozen=True)
-class BranchingClaim:
+class BranchingClaim(NamedTuple):
     ambient: tuple  # (LieAlgebraId, level, Weight)
     factors: tuple  # ((LieAlgebraId, level), ...)
     summands: tuple
@@ -123,8 +121,7 @@ def g2_f4_branching_claim() -> BranchingClaim:
     return BranchingClaim(ambient, factors, summands)
 
 
-@dataclass(frozen=True)
-class BranchingRow:
+class BranchingRow(NamedTuple):
     depth: int
     ambient_dim: int
     summand_dims: tuple
@@ -138,8 +135,7 @@ class BranchingRow:
         return self.combined == self.ambient_dim
 
 
-@dataclass(frozen=True)
-class BranchingReport:
+class BranchingReport(NamedTuple):
     claim: BranchingClaim
     rows: tuple
 

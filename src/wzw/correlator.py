@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
@@ -315,14 +314,12 @@ def apply_bracket(a: ModeOp, b: ModeOp, env: PairingEnv):
 # states
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     coefficient: Poly
     slots: tuple  # three tuples of ModeOp, outermost operator first
 
 
-@dataclass(frozen=True)
-class CorrelatorState:
+class CorrelatorState(NamedTuple):
     """Formal sum of three-slot words applied to vacua at the marked points."""
 
     terms: tuple

@@ -9,8 +9,8 @@ rank arithmetic) are computed from that data with exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lie import (
     LieAlgebraId,
@@ -30,8 +30,7 @@ def rep_dynkin_index(algebra: LieAlgebraId, w: Weight) -> Fraction:
     return Fraction(weyl_dimension(d, w) * d.ip(w.labels, shifted), 2 * d.dimension)
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
+class EmbeddingData(NamedTuple):
     name: str
     factors: tuple  # ((LieAlgebraId, level), ...)
     ambient: LieAlgebraId
@@ -63,15 +62,13 @@ class EmbeddingData:
         return total
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     rows: tuple
 
     @property

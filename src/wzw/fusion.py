@@ -13,9 +13,9 @@ independent cross-check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import add, mul
+from typing import NamedTuple
 
 from .lie import (
     InvariantError,
@@ -25,17 +25,18 @@ from .lie import (
     build_root_datum,
     fold_sum,
     level_weights,
+    primaries_at_least,
     weight_system_cached,
     weyl_dimension,
 )
 
 
-@dataclass(frozen=True)
-class FusionRing:
+class FusionRing(NamedTuple):
+    """A ring as fusion_ring builds it; index reads the cached index of that ring's basis."""
+
     algebra: LieAlgebraId
     level: int
     basis: tuple  # Weight tuple, lexicographic label order; basis[0] is the vacuum
-    basis_index: dict = field(compare=False, repr=False)  # Weight -> position in basis
 
     @property
     def datum(self) -> RootDatum:
@@ -43,7 +44,7 @@ class FusionRing:
 
     def index(self, w: Weight) -> int:
         try:
-            return self.basis_index[w]
+            return _basis_index(self.algebra, self.level)[w]
         except KeyError:
             raise ValueError(f"{w} is not a level-{self.level} weight of {self.algebra}") from None
 
@@ -71,26 +72,41 @@ def _kac_walton(algebra: LieAlgebraId, level: int, a: int, b: int) -> tuple:
     d = ring.datum
     x, y = sorted((ring.basis[a], ring.basis[b]), key=partial(weyl_dimension, d), reverse=True)
     terms = ((map(add, x.labels, nu), m) for nu, m in weight_system_cached(algebra, y.labels).items())
+    index = _basis_index(algebra, level)
     row = [0] * len(ring.basis)
     for z, m in fold_sum(d, terms, level + d.dual_coxeter).items():
-        row[ring.basis_index[z]] = m
+        row[index[z]] = m
     return tuple(row)
+
+
+# Cap on primaries_at_least, which is exact on A and C and undercounts E8 up to about 50-fold;
+# the slowest ring admitted, E8 at level 53 (616,968 primaries), takes about 3 s cold
+MAX_PRIMARIES = 15_000
 
 
 @lru_cache(maxsize=None)
 def fusion_ring(algebra: LieAlgebraId, level: int) -> FusionRing:
-    basis = tuple(level_weights(build_root_datum(algebra), level))
-    return FusionRing(algebra, level, basis, {w: i for i, w in enumerate(basis)})
+    """Refuses a ring whose primaries_at_least exceeds MAX_PRIMARIES before listing any weight."""
+    d = build_root_datum(algebra)
+    low = primaries_at_least(d, level)
+    if low > MAX_PRIMARIES:
+        raise ValueError(f"{algebra} level {level} has at least {low} primaries, over the cap {MAX_PRIMARIES}")
+    return FusionRing(algebra, level, tuple(level_weights(d, level)))
 
 
-@dataclass(frozen=True)
-class CurveData:
-    genus: int
-    insertions: tuple  # Weight tuple
+@lru_cache(maxsize=None)
+def _basis_index(algebra: LieAlgebraId, level: int) -> dict:
+    """Weight -> position in the basis of fusion_ring(algebra, level)."""
+    return {w: i for i, w in enumerate(fusion_ring(algebra, level).basis)}
 
-    def __post_init__(self):
-        if self.genus < 0:
+
+class CurveData(NamedTuple("CurveData", [("genus", int), ("insertions", tuple)])):
+    __slots__ = ()  # insertions is a Weight tuple
+
+    def __new__(cls, genus: int, insertions: tuple):
+        if genus < 0:
             raise ValueError("genus must be nonnegative")
+        return tuple.__new__(cls, (genus, insertions))
 
 
 # Caps on the genus and insertion count of `verlinde_dim`; both enter only
@@ -102,7 +118,7 @@ MAX_GENUS = MAX_INSERTIONS = 10_000
 def _dual_indices(algebra: LieAlgebraId, level: int) -> tuple:
     """Basis index of the charge conjugate of each basis weight."""
     ring = fusion_ring(algebra, level)
-    return tuple(ring.basis_index[ring.dual(w)] for w in ring.basis)
+    return tuple(ring.index(ring.dual(w)) for w in ring.basis)
 
 
 @lru_cache(maxsize=None)

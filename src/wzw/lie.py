@@ -34,10 +34,9 @@ exact.  Finite weight systems are the depth-0 rows of that table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import InvariantError  # defined in the package so cli can catch it without this module
 
@@ -50,15 +49,13 @@ MAX_RANK = 80  # at the cap, a cold `wzw root-system --json` answers in about 2 
 MAX_WEIGHT_BOX = 2_000_000  # points of the Freudenthal coefficient box c <= A^-1 lambda
 
 
-@dataclass(frozen=True)
-class LieAlgebraId:
-    series: str
-    rank: int
+class LieAlgebraId(NamedTuple("LieAlgebraId", [("series", str), ("rank", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.series not in _SERIES:
-            raise ValueError(f"unknown series {self.series!r}")
-        n = self.rank
+    def __new__(cls, series: str, rank: int):
+        if series not in _SERIES:
+            raise ValueError(f"unknown series {series!r}")
+        n = rank
         if n > MAX_RANK:  # refused before any n x n table is built
             raise ValueError(f"rank {n} is above the cap {MAX_RANK}")
         ok = {
@@ -69,9 +66,10 @@ class LieAlgebraId:
             "E": n in (6, 7, 8),
             "F": n == 4,
             "G": n == 2,
-        }[self.series]
+        }[series]
         if not ok:
-            raise ValueError(f"invalid simple type {self.series}{n}")
+            raise ValueError(f"invalid simple type {series}{n}")
+        return tuple.__new__(cls, (series, rank))
 
     @staticmethod
     def from_string(name: str) -> "LieAlgebraId":
@@ -87,16 +85,13 @@ class LieAlgebraId:
         return f"{self.series}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Weight:
-    algebra: LieAlgebraId
-    labels: Labels
+class Weight(NamedTuple("Weight", [("algebra", LieAlgebraId), ("labels", Labels)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.labels) != self.algebra.rank:
-            raise ValueError(
-                f"{self.algebra} weight needs {self.algebra.rank} labels, got {len(self.labels)}"
-            )
+    def __new__(cls, algebra: LieAlgebraId, labels: Labels):
+        if len(labels) != algebra.rank:
+            raise ValueError(f"{algebra} weight needs {algebra.rank} labels, got {len(labels)}")
+        return tuple.__new__(cls, (algebra, labels))  # skips the base __new__, a Python call per weight
 
     def is_dominant(self) -> bool:
         return all(x >= 0 for x in self.labels)
@@ -162,8 +157,7 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """Root data of a simple Lie algebra; every field is computed by build_root_datum."""
 
     algebra: LieAlgebraId
@@ -627,8 +621,7 @@ def graded_module(algebra: LieAlgebraId, level: int, highest: Weight) -> GradedM
     return GradedModule(algebra, level, highest)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple):
     highest: Weight
     multiplicities: dict  # Weight -> positive int, full Weyl-orbit closure
 
@@ -698,6 +691,12 @@ def tensor_decompose(d: RootDatum, lam: Weight, mu: Weight) -> dict:
     if sum(m * weyl_dimension(d, w) for w, m in result.items()) != dim_lam * dim_mu:
         raise InvariantError(f"{lam} x {mu}: constituent dimensions do not add up")
     return result
+
+
+def primaries_at_least(d: RootDatum, level: int) -> int:
+    """A lower bound on the number of level weights, found without listing them:
+    labels summing to at most level // max(comarks) have level at most level."""
+    return math.comb(max(level, 0) // max(d.comarks) + d.rank, d.rank)
 
 
 def level_weights(d: RootDatum, level: int) -> list:

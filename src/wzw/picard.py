@@ -10,14 +10,13 @@ quadratic field and the emitted coefficients are rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .qsqrt5 import closed_form_value
 
 
-@dataclass(frozen=True)
-class BoundaryIndex:
+class BoundaryIndex(NamedTuple):
     """Canonical index of one boundary divisor.
 
     kind "irr" is the irreducible stratum (h and markings unused, set to -1
@@ -67,8 +66,7 @@ def boundary_strata(g: int, n: int) -> list:
     return head + [BoundaryIndex("red", h, a) for h, a in sorted(sides)]
 
 
-@dataclass(frozen=True)
-class PicRelation:
+class PicRelation(NamedTuple):
     """4 lambda + sum psi_i = g2_block/F + f4_block + boundary combination."""
 
     g: int
@@ -117,8 +115,7 @@ def emit_relation(g: int, n: int) -> PicRelation:
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     g: int
     n: int
     recursion_holds: bool

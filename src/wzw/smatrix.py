@@ -18,14 +18,13 @@ level-one theory needs.
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 import mpmath as mp
 
-from .lie import InvariantError, LieAlgebraId, build_root_datum, check_weight, level_weights
+from .lie import InvariantError, LieAlgebraId, build_root_datum, check_weight, level_weights, primaries_at_least
 
 # matrix_work units (at most about a microsecond each); the slowest ring under the cap,
 # E6 at level 1, takes about 3 s
@@ -57,8 +56,7 @@ def _precision(precision) -> int:
     return default_precision() if precision is None else _checked_precision(precision)
 
 
-@dataclass
-class SMatrix:
+class SMatrix(NamedTuple):
     algebra: LieAlgebraId
     level: int
     basis: tuple  # Weight tuple, same order as fusion_ring
@@ -98,12 +96,6 @@ def matrix_work(d, n: int, big_n: int) -> int:
     rank (rank + n) / 4 each (a quarter unit per rank-long tuple step), n^2
     lists of N residue counts, and about 4n^3 for the unitarity check."""
     return n * (d.weyl_order * d.rank * (d.rank + n) // 4 + n * big_n + 4 * n * n)
-
-
-def primaries_at_least(d, level: int) -> int:
-    """A lower bound on the number of level weights, found without listing them:
-    labels summing to at most level // max(comarks) have level at most level."""
-    return math.comb(max(level, 0) // max(d.comarks) + d.rank, d.rank)
 
 
 def kac_peterson_counts(algebra: LieAlgebraId, level: int):

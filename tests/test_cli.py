@@ -16,7 +16,7 @@ import pytest
 
 from wzw import acceptance, cli, correlator, fusion, lie, picard, smatrix
 from wzw.acceptance import CriterionResult
-from wzw.fusion import MAX_GENUS, MAX_INSERTIONS
+from wzw.fusion import MAX_GENUS, MAX_INSERTIONS, MAX_PRIMARIES
 from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
 from wzw.qsqrt5 import closed_form_value
 
@@ -338,6 +338,21 @@ def test_verlinde_refuses_above_the_caps(capsys, args):
     assert err.count("\n") == 1 and err.startswith("error: ") and "cap" in err
 
 
+def test_primaries_cap_at_the_cap_and_one_above(capsys):
+    # A1 at level L has L + 1 primaries, and the lower bound is exact there
+    code, out, _ = run(capsys, "verlinde", "--algebra", "A1", "--level", str(MAX_PRIMARIES - 1), "--genus", "0")
+    assert (code, json.loads(out)) == (0, {"dimension": 1})
+    refusals = [
+        ["fusion", "--algebra", "A1", "--level", str(MAX_PRIMARIES)],
+        ["verlinde", "--algebra", "A1", "--level", "3000000", "--genus", "0"],
+        ["verlinde", "--algebra", "A4", "--level", "200", "--genus", "0", "--weights", "[1,0,0,0]", "[0,0,0,1]"],
+    ]
+    for argv in refusals:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith("error: ") and f"over the cap {MAX_PRIMARIES}" in err
+
+
 def test_verlinde_too_long_to_print_exits_two(capsys):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # the interpreter's default
@@ -596,6 +611,18 @@ def _loaded_after(code):
         [sys.executable, "-c", probe], capture_output=True, check=True, env=env, text=True
     ).stdout
     return json.loads(out.splitlines()[-1])
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect():
+    # records are named tuples: no run pays for dataclasses and the inspect, ast and dis it imports
+    names = ["dataclasses", "inspect"]
+    bare = _loaded_after(f"names = {names}")
+    first = {}
+    for command in PINNED_JSON_DIGESTS:
+        first.setdefault(command.split()[0], command.split() + ["--json"])
+    for argv in first.values():
+        code = f"names = {names}\nfrom wzw import cli\nassert cli.main({argv!r}) == 0"
+        assert _loaded_after(code) == bare, argv
 
 
 def test_importing_the_cli_loads_no_heavy_module():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import wzw
 from wzw import correlator
 from wzw.correlator import (
     _INSERTION_RULES,
@@ -102,22 +101,6 @@ def test_modeop_display():
     assert str(root_mode("b", -1, 2)) == "X-b(2)"
     assert str(cartan_mode(-1)) == "H(-1)"
     assert str(ModeOp("h", ("root", "a"), 0)) == "H_a(0)"
-
-
-def test_modeop_is_an_immutable_named_tuple():
-    op = root_mode("a", +1, -1)
-    same = ModeOp("x", ("a", "+"), -1)
-    assert op == same and hash(op) == hash(same) and op is not same
-    assert {op: 1}[same] == 1 and {(op, cartan_mode(-1)): 2}[(same, cartan_mode(-1))] == 2
-    assert op != root_mode("a", -1, -1) and op != root_mode("a", +1, -2)
-    # a named tuple: equal to the plain (kind, data, mode) tuple, and unpackable
-    assert op == ("x", ("a", "+"), -1)
-    kind, data, mode = op
-    assert (kind, data, mode) == (op.kind, op.data, op.mode) == ("x", ("a", "+"), -1)
-    for name in ("kind", "data", "mode", "other"):
-        with pytest.raises(AttributeError):
-            setattr(op, name, 0)
-    assert wzw.ModeOp is ModeOp
 
 
 def test_error_messages_name_the_operators():

@@ -9,6 +9,7 @@ from wzw import fusion, lie
 from wzw.fusion import (
     MAX_GENUS,
     MAX_INSERTIONS,
+    MAX_PRIMARIES,
     CurveData,
     _fusion_matrix,
     _handle,
@@ -197,6 +198,26 @@ def test_caps_refuse_one_past_the_limit():
         verlinde_dim(ring, CurveData(MAX_GENUS + 1, ()))
     with pytest.raises(ValueError, match="cap"):
         verlinde_dim(ring, CurveData(0, (tau,) * MAX_INSERTIONS + (vac,)))
+
+
+def test_primaries_cap_admits_the_cap_and_refuses_one_more():
+    # primaries_at_least is exact on A1: level L has L + 1 primaries
+    a1 = LieAlgebraId("A", 1)
+    ring = fusion_ring(a1, MAX_PRIMARIES - 1)
+    assert len(ring.basis) == MAX_PRIMARIES
+    assert verlinde_dim(ring, CurveData(0, ())) == 1
+    with pytest.raises(ValueError, match=f"at least {MAX_PRIMARIES + 1} primaries, over the cap {MAX_PRIMARIES}"):
+        fusion_ring(a1, MAX_PRIMARIES)
+
+
+def test_primaries_cap_refuses_before_listing_weights(monkeypatch):
+    def listing(*args):
+        raise AssertionError("level_weights ran on a ring over the cap")
+
+    monkeypatch.setattr(fusion, "level_weights", listing)
+    for algebra, level in ((LieAlgebraId("A", 4), 200), (LieAlgebraId("A", 1), 3_000_000), (E8, 10**9)):
+        with pytest.raises(ValueError, match="over the cap"):
+            fusion_ring(algebra, level)
 
 
 def _factorization_blocks(ring, genus, labels, memo):

@@ -9,7 +9,7 @@ import pytest
 
 from wzw import smatrix
 from wzw.fusion import CurveData, fusion_ring, verlinde_dim
-from wzw.lie import LieAlgebraId, build_root_datum, level_weights
+from wzw.lie import LieAlgebraId, build_root_datum, level_weights, primaries_at_least
 from wzw.smatrix import (
     DEFAULT_PRECISION,
     MAX_MATRIX_WORK,
@@ -18,7 +18,6 @@ from wzw.smatrix import (
     PRECISION_ENV,
     default_precision,
     matrix_work,
-    primaries_at_least,
     quantum_dimension,
     s_matrix,
     s_matrix_column,

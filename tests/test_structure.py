@@ -218,6 +218,18 @@ def test_cli_and_package_import_heavy_modules_lazily():
                     assert not names & lazy, (module, node.lineno)
 
 
+def test_no_module_imports_dataclasses():
+    # records are named tuples; dataclasses would load inspect, ast and dis in every cold process
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+    assert offenders == []
+
+
 def test_only_cli_main_prints():
     # one output path: each subcommand returns (doc, lines, passed) and main writes them
     tree = _tree("cli")
