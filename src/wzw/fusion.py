@@ -13,7 +13,7 @@ independent cross-check.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add, mul
 from typing import NamedTuple
 
@@ -67,10 +67,12 @@ class FusionRing(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _kac_walton(algebra: LieAlgebraId, level: int, a: int, b: int) -> tuple:
-    """Row N_ab over basis indices, a <= b, shared by N_a and N_b: one alcove fold of x + wt(y), dim y <= dim x."""
+    """Row N_ab over basis indices, a <= b, shared by N_a and N_b: one alcove fold of x + wt(y),
+    dim y <= dim x, and y = basis[b] on equal dimensions."""
     ring = fusion_ring(algebra, level)
     d = ring.datum
-    x, y = sorted((ring.basis[a], ring.basis[b]), key=partial(weyl_dimension, d), reverse=True)
+    swap = _dimension(algebra, level, b) > _dimension(algebra, level, a)
+    x, y = (ring.basis[b], ring.basis[a]) if swap else (ring.basis[a], ring.basis[b])
     terms = ((map(add, x.labels, nu), m) for nu, m in weight_system_cached(algebra, y.labels).items())
     index = _basis_index(algebra, level)
     row = [0] * len(ring.basis)
@@ -98,6 +100,14 @@ def fusion_ring(algebra: LieAlgebraId, level: int) -> FusionRing:
 def _basis_index(algebra: LieAlgebraId, level: int) -> dict:
     """Weight -> position in the basis of fusion_ring(algebra, level)."""
     return {w: i for i, w in enumerate(fusion_ring(algebra, level).basis)}
+
+
+@lru_cache(maxsize=None)
+def _dimension(algebra: LieAlgebraId, level: int, i: int) -> int:
+    """Weyl dimension of basis weight i of fusion_ring(algebra, level), computed when first read,
+    so one product on E8 at level 53 (616,968 primaries) computes two dimensions, not one per primary."""
+    ring = fusion_ring(algebra, level)
+    return weyl_dimension(ring.datum, ring.basis[i])
 
 
 class CurveData(NamedTuple("CurveData", [("genus", int), ("insertions", tuple)])):

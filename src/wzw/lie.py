@@ -24,7 +24,8 @@ there are no floats.  A failed internal check raises InvariantError, which
 stays active under python -O.
 
 One walk, dominant_weights, enumerates dominant weights under a monotone cost;
-one routine, fold_sum, sums the signed chamber or alcove folds of weights; and
+one routine, fold_sum, sums the signed chamber or alcove folds of weights, each
+distinct point folded once per process through the memo _shifted_fold; and
 one recursion, the affine Freudenthal step of GradedModule, gives every weight
 multiplicity: the shifted-norm difference multiplies the unknown, the right
 side sums over the positive affine roots, and the division is checked to be
@@ -257,7 +258,7 @@ class RootDatum(NamedTuple):
         shift), where shift is the sum of (x, theta) - kappa over the affine
         reflections; returns None as soon as shift exceeds limit.  The wall
         tests after a fold (a zero label, level equal to kappa) live in
-        fold_sum.  With nodes J, only the simple reflections s_j, j in J,
+        _shifted_fold.  With nodes J, only the simple reflections s_j, j in J,
         are used: the result is the J-dominant point of the W_J-orbit.
         """
         cols = self.cartan_cols
@@ -656,21 +657,32 @@ def freudenthal_weights(d: RootDatum, lam: Weight) -> WeightSystem:
     return WeightSystem(lam, {d.weight(k): v for k, v in full.items()})
 
 
+@lru_cache(maxsize=None)
+def _shifted_fold(algebra: LieAlgebraId, kappa, labels: Labels):
+    """(w(x + rho) - rho, det w) for x = labels, folded into the dominant chamber, or with
+    kappa into the alcove of level at most kappa; None when x + rho folds onto a wall
+    (a zero label, or level equal to kappa)."""
+    d = build_root_datum(algebra)
+    lab, sign, _ = d.fold(tuple(a + 1 for a in labels), kappa)
+    if 0 in lab or (kappa is not None and d.level_of(lab) == kappa):
+        return None
+    return tuple(a - 1 for a in lab), sign
+
+
 def fold_sum(d: RootDatum, terms, kappa=None) -> dict:
     """Sum of m * det(w) [w(x + rho) - rho] over the terms (x, m), as {Weight: m}.
 
-    Each rho-shifted term is folded into the dominant chamber, or with kappa
-    into the alcove of level at most kappa; a term landing on a wall (a zero
-    label, or level equal to kappa) drops out.  The signed total must be
-    nonnegative.  The result is in label order, without zero entries.
+    Each term's image comes from _shifted_fold, so a point repeated across
+    terms or calls is folded once; a term landing on a wall drops out.  The
+    signed total must be nonnegative.  The result is in label order, without
+    zero entries.
     """
     out: dict = {}
     for x, m in terms:
-        lab, sign, _ = d.fold(tuple(a + 1 for a in x), kappa)
-        if 0 in lab or (kappa is not None and d.level_of(lab) == kappa):
-            continue
-        target = tuple(a - 1 for a in lab)
-        out[target] = out.get(target, 0) + sign * m
+        image = _shifted_fold(d.algebra, kappa, tuple(x))
+        if image is not None:
+            target, sign = image
+            out[target] = out.get(target, 0) + sign * m
     result = {}
     for labels, m in sorted(out.items()):
         if m < 0:

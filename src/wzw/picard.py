@@ -43,14 +43,23 @@ def _check_stable(g: int, n: int):
         raise ValueError(f"(g, n) = ({g}, {n}) is not stable")
 
 
+# Cap on the price (g + 1)(1 + g/128) 2^n of a relation: (g + 1) 2^n is about twice the
+# number of strata, and the F values behind each row grow by a digit every two genera.
+MAX_RELATION_SIZE = 1 << 16
+
+
 def boundary_strata(g: int, n: int) -> list:
     """All boundary divisor indices of the (g, n) moduli space, canonical and sorted.
 
     Only canonical sides are generated: h <= g - h, and on a tie the side
     holding marking 1 (the empty side when n = 0).  irr comes first, then the
-    reducible strata by (h, markings).
+    reducible strata by (h, markings).  A (g, n) whose price is above MAX_RELATION_SIZE is
+    refused before any subset is listed.
     """
     _check_stable(g, n)
+    # n first, since 2^n of a huge n does not fit in memory
+    if n >= MAX_RELATION_SIZE.bit_length() or (g + 1) * (g + 128) << n > MAX_RELATION_SIZE << 7:
+        raise ValueError(f"(g + 1)(1 + g/128) * 2^n at (g, n) = ({g}, {n}) is above the cap {MAX_RELATION_SIZE}")
     sides = []
     for h in range(g // 2 + 1):
         for bits in range(1 << n):
@@ -81,18 +90,9 @@ class PicRelation(NamedTuple):
         return dict(self.boundary)
 
 
-# Cap on the price (g + 1)(1 + g/128) 2^n of a relation: (g + 1) 2^n is about twice the
-# number of strata, and the F values behind each row grow by a digit every two genera.
-MAX_RELATION_SIZE = 1 << 16
-
-
 def emit_relation(g: int, n: int) -> PicRelation:
     """Fill every coefficient of the relation from the closed form, exactly."""
-    _check_stable(g, n)
-    # n first, since 2^n of a huge n does not fit in memory; no F value is computed before this
-    if n >= MAX_RELATION_SIZE.bit_length() or (g + 1) * (g + 128) << n > MAX_RELATION_SIZE << 7:
-        raise ValueError(f"(g + 1)(1 + g/128) * 2^n at (g, n) = ({g}, {n}) is above the cap {MAX_RELATION_SIZE}")
-    strata = boundary_strata(g, n)
+    strata = boundary_strata(g, n)  # refuses above the cap before any F value is computed
     fgn = closed_form_value(g, n)
     if fgn == 0:
         raise ValueError(f"the closed-form dimension vanishes at (g, n) = ({g}, {n}); relation undefined")

@@ -17,7 +17,7 @@ from wzw.fusion import (
     propagation_check,
     verlinde_dim,
 )
-from wzw.lie import InvariantError, LieAlgebraId, build_root_datum, fold_sum, tensor_decompose
+from wzw.lie import InvariantError, LieAlgebraId, RootDatum, build_root_datum, fold_sum, tensor_decompose
 from wzw.qsqrt5 import GOLDEN, closed_form_dimension, closed_form_value
 
 G2 = LieAlgebraId("G", 2)
@@ -363,6 +363,38 @@ def test_genus_one_stores_one_row_per_unordered_pair():
     assert fusion._kac_walton.cache_info().currsize == n * (n + 1) // 2
 
 
+def test_f4_level_three_table_folds_each_shifted_point_once(monkeypatch):
+    # the 6,597 terms x + nu of the full table hold 890 distinct points, and only
+    # the alcove folds at kappa = 3 + h^vee are counted, not those of the graded modules
+    ring = fusion_ring(F4, 3)
+    kappa = 3 + ring.datum.dual_coxeter
+    real = RootDatum.fold
+    folded = []
+
+    def counting(self, labels, at=None, limit=None, nodes=None):
+        if at == kappa:
+            folded.append(labels)
+        return real(self, labels, at, limit, nodes)
+
+    lie.weight_system_cached.cache_clear()
+    fusion._kac_walton.cache_clear()
+    lie._shifted_fold.cache_clear()
+    monkeypatch.setattr(RootDatum, "fold", counting)
+    for i, x in enumerate(ring.basis):
+        for y in ring.basis[i:]:
+            ring.product(x, y)
+    assert len(folded) == len(set(folded)) == 890
+
+
+def test_one_product_reads_the_dimensions_of_its_two_factors_only():
+    # A1 at level 14,999 has 15,000 primaries; the Kac-Walton row compares two of their dimensions
+    ring = fusion_ring(LieAlgebraId("A", 1), 14_999)
+    fusion._kac_walton.cache_clear()
+    fusion._dimension.cache_clear()
+    assert ring.product(ring.basis[2], ring.basis[7]) == {ring.basis[k]: 1 for k in (5, 7, 9)}
+    assert fusion._dimension.cache_info().currsize == 2
+
+
 def _plant_weight_table(monkeypatch, algebra, labels):
     # the highest weight of L(labels) counted twice: the table misses the Weyl dimension
     real = lie.graded_module
@@ -388,6 +420,19 @@ def test_a_weight_table_off_its_dimension_raises_on_the_first_read(monkeypatch, 
     try:
         with pytest.raises(InvariantError, match=rf"weight system of \[{small.labels[0]},{small.labels[1]}\]"):
             ring.product(x, y) if read == "product" else tensor_decompose(ring.datum, x, y)
+    finally:
+        lie.weight_system_cached.cache_clear()
+        fusion._kac_walton.cache_clear()
+
+
+def test_equal_dimensions_expand_the_weight_system_of_the_later_basis_weight(monkeypatch):
+    # A2 at level 1: [0,1] and [1,0] are both 3-dimensional, and the row of (1, 2) expands basis[2]
+    ring = fusion_ring(LieAlgebraId("A", 2), 1)
+    x, y = ring.basis[1], ring.basis[2]
+    _plant_weight_table(monkeypatch, ring.algebra, y.labels)
+    try:
+        with pytest.raises(InvariantError, match=r"weight system of \[1,0\]"):
+            ring.product(x, y)
     finally:
         lie.weight_system_cached.cache_clear()
         fusion._kac_walton.cache_clear()

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzw import lie
 from wzw.embeddings import rep_dynkin_index
 from wzw.lie import (
     MAX_RANK,
+    InvariantError,
     LieAlgebraId,
     Weight,
     build_root_datum,
+    fold_sum,
     freudenthal_weights,
     graded_module,
     level_weights,
@@ -304,3 +307,48 @@ def test_every_weight_is_refused_by_one_check(caller):
     if caller in ("graded_module", "quantum_dimension", "trace_anomaly"):
         with pytest.raises(ValueError, match=re.escape("[2,0] is not an integrable level-1 weight of G2")):
             call(Weight(G2, (2, 0)))
+
+
+def _reference_fold_sum(d, terms, kappa=None) -> dict:
+    """fold_sum as one fold per term, without the memo of shifted folds."""
+    out: dict = {}
+    for x, m in terms:
+        lab, sign, _ = d.fold(tuple(a + 1 for a in x), kappa)
+        if 0 in lab or (kappa is not None and d.level_of(lab) == kappa):
+            continue
+        target = tuple(a - 1 for a in lab)
+        out[target] = out.get(target, 0) + sign * m
+    result = {}
+    for labels, m in sorted(out.items()):
+        if m < 0:
+            raise InvariantError(f"signed fold sum is negative at {labels}")
+        if m:
+            result[d.weight(labels)] = m
+    return result
+
+
+def _fold_sum_outcome(fn, d, terms, kappa):
+    """The sum, or the message of the InvariantError that a negative entry raises."""
+    try:
+        return fn(d, terms, kappa)
+    except InvariantError as err:
+        return str(err)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_memoised_fold_sum_matches_one_fold_per_term(data):
+    d = build_root_datum(data.draw(st.sampled_from([G2, F4, LieAlgebraId("A", 2), LieAlgebraId("B", 3)])))
+    level = data.draw(st.integers(1, 3))
+    kappa = data.draw(st.sampled_from([None, level + d.dual_coxeter]))
+    j = d.comarks.index(1)
+    wall = tuple((level + 1) * (i == j) for i in range(d.rank))  # x + rho at level l + h^vee
+    above = tuple((level + 2) * (i == j) for i in range(d.rank))  # one past it
+    box = st.tuples(*[st.integers(-3, level + 2)] * d.rank)
+    zero_label = box.map(lambda x: (-1,) + x[1:])  # x + rho has a zero label
+    points = data.draw(st.lists(st.one_of(box, zero_label, st.just(wall), st.just(above)), min_size=1, max_size=6))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(points), st.integers(-2, 3)), min_size=1, max_size=12))
+    want = _fold_sum_outcome(_reference_fold_sum, d, terms, kappa)
+    lie._shifted_fold.cache_clear()
+    assert _fold_sum_outcome(fold_sum, d, terms, kappa) == want  # cold memo
+    assert _fold_sum_outcome(fold_sum, d, terms, kappa) == want  # warm memo

@@ -93,6 +93,23 @@ def test_relation_size_cap():
         relation_consistency(16000, 0)
 
 
+@pytest.mark.parametrize("g, n, count", [(2832, 0, 1 + 2832 // 2), (0, 16, (1 << 15) - 16 - 1)])
+def test_boundary_strata_lists_at_the_cap_and_refuses_one_past(g, n, count):
+    # the library call prices (g, n) itself: irr plus h = 1..g/2 without markings, and
+    # 2^(n-1) - n - 1 two-sided splits of n markings at genus 0
+    cap = MAX_RELATION_SIZE << 7
+    past = (g + 1, n) if n == 0 else (g, n + 1)
+    assert (g + 1) * (g + 128) << n <= cap < (past[0] + 1) * (past[0] + 128) << past[1]
+    assert len(boundary_strata(g, n)) == count
+    with pytest.raises(ValueError, match="cap"):
+        boundary_strata(*past)
+
+
+def test_boundary_strata_refuses_2_to_the_40_subsets_before_listing_any():
+    with pytest.raises(ValueError, match=r"\(g, n\) = \(1, 40\) is above the cap"):
+        boundary_strata(1, 40)
+
+
 def test_strata_examples():
     assert boundary_strata(1, 1) == [IRR]
     assert boundary_strata(2, 0) == [IRR, BoundaryIndex("red", 1, ())]

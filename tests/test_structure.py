@@ -168,8 +168,8 @@ def test_lattice_oracle_touches_no_lie_name():
 
 
 def test_fusion_leaves_the_fold_to_the_kernel():
-    # wall tests and sign sums after a fold live only in lie.fold_sum, and a fusion
-    # product is one alcove fold, with no classical tensor product on the way
+    # wall tests after a fold live only in lie._shifted_fold and sign sums in lie.fold_sum,
+    # and a fusion product is one alcove fold, with no classical tensor product on the way
     tree = _tree("fusion")
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
