@@ -2,10 +2,11 @@
 
 Root systems and weight multiplicities are exact integer/rational arithmetic;
 fusion rings use the Kac-Walton rule; conformal-block dimensions are a vacuum
-entry of fusion-matrix powers and close in Q(sqrt 5) at level one; the numeric
-Kac-Peterson S-matrix is an independent cross-check.  Conformal-embedding checks,
-graded branching of level-one characters, three-point gauge-correlator reduction
-and the boundary-divisor relation round out the toolkit.  `python -m wzw.cli --help`
+entry of fusion-matrix powers and, at level one, an integer trace in Z[phi],
+the integers of Q(sqrt 5); the numeric Kac-Peterson S-matrix is an independent
+cross-check.  Conformal-embedding checks, graded branching of level-one
+characters, three-point gauge-correlator reduction and the boundary-divisor
+relation round out the toolkit.  `python -m wzw.cli --help`
 for the command-line surface.
 
 The package exports resolve lazily: `import wzw` loads no submodule, and the
@@ -26,11 +27,10 @@ class InvariantError(ArithmeticError):  # here, not in lie, so cli catches it wi
 # them; a submodule has several rows where `__all__` interleaves its names.
 # InvariantError, defined above, lists under lie for its place in `__all__`.
 _EXPORTS = (
-    ("qsqrt5", ("GOLDEN", "QSqrt5")),
     ("lie", ("InvariantError", "LieAlgebraId", "RootDatum", "Weight", "WeightSystem", "build_root_datum",
              "freudenthal_weights", "level_weights", "tensor_decompose", "weyl_dimension")),
     ("fusion", ("CurveData", "FusionRing")),
-    ("qsqrt5", ("closed_form_dimension", "closed_form_value")),
+    ("qsqrt5", ("closed_form_value",)),
     ("fusion", ("fusion_ring", "propagation_check", "verlinde_dim")),
     ("smatrix", ("SMatrix", "default_precision", "quantum_dimension", "s_matrix", "s_matrix_column")),
     ("embeddings", ("EmbeddingData",)),

@@ -18,7 +18,7 @@ from wzw.fusion import (
     verlinde_dim,
 )
 from wzw.lie import InvariantError, LieAlgebraId, RootDatum, build_root_datum, fold_sum, tensor_decompose
-from wzw.qsqrt5 import GOLDEN, closed_form_dimension, closed_form_value
+from wzw.qsqrt5 import closed_form_value
 
 G2 = LieAlgebraId("G", 2)
 F4 = LieAlgebraId("F", 4)
@@ -160,13 +160,19 @@ def test_e8_any_genus():
 
 
 def test_closed_form_is_rational_with_golden_units():
-    # phi^a + conj(phi)^a combinations kill the sqrt(5) part
+    # at genus 1 the closed form is phi^n + phibar^n, the Lucas number L_n, and at
+    # genus 0 it is (phi^(n-1) - phibar^(n-1))/sqrt 5, the Fibonacci number F_(n-1):
+    # both from their own integer recurrences, not from Z[phi] or the blocks
+    lucas, fib = [2, 1], [1, 0]  # L_0, L_1 and F_(-1), F_0
+    for _ in range(30):
+        lucas.append(lucas[-1] + lucas[-2])
+        fib.append(fib[-1] + fib[-2])
+    assert [closed_form_value(1, n) for n in range(32)] == lucas
+    assert [closed_form_value(0, n) for n in range(32)] == fib
     for g in range(6):
         for n in range(7):
-            value = closed_form_dimension(g, n)
-            assert value.is_rational
-            assert value == closed_form_value(g, n)
-    assert closed_form_dimension(0, 3) == GOLDEN**0  # = 1
+            assert type(closed_form_value(g, n)) is int and closed_form_value(g, n) >= 0
+    assert closed_form_value(0, 3) == 1
 
 
 def test_propagation_identity():

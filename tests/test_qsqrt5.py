@@ -1,92 +1,148 @@
-from fractions import Fraction
+"""The closed form F(g, n) against routes that share no code with it, the
+Z[phi] pair arithmetic it rests on, and its two invariant checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wzw.qsqrt5 import GOLDEN, QSqrt5
+from wzw import InvariantError, qsqrt5
+from wzw.qsqrt5 import closed_form_value
 
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
-elements = st.builds(QSqrt5, rationals, rationals)
+pairs = st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+
+
+def _conjugate(x):
+    # a + b*phibar = (a + b) - b*phi, since phi + phibar = 1
+    a, b = x
+    return a + b, -b
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
 
 
 def test_golden_ratio_defining_identity():
-    assert GOLDEN * GOLDEN == GOLDEN + 1
-    assert GOLDEN + GOLDEN.conjugate() == 1
-    assert GOLDEN * GOLDEN.conjugate() == -1
+    phi = (0, 1)
+    assert qsqrt5._mul(phi, phi) == (1, 1)  # phi^2 = 1 + phi
+    assert qsqrt5._trace(phi) == 1
+    assert qsqrt5._mul(phi, _conjugate(phi)) == (-1, 0)
 
 
 def test_norm_and_inverse():
-    x = QSqrt5(3, 1)
-    assert x.norm() == 4
-    assert x * x.inverse() == 1
-    assert 1 / x == x.inverse()
-    with pytest.raises(ZeroDivisionError):
-        QSqrt5().inverse()
+    # the genus-0 inverse: (2 + phi)(3 - phi) = 5, and 5 is the norm of 2 + phi
+    unit = qsqrt5._TWO_PLUS_PHI
+    assert qsqrt5._mul(unit, qsqrt5._FIVE_OVER_TWO_PLUS_PHI) == (5, 0)
+    assert qsqrt5._mul(unit, _conjugate(unit)) == (5, 0)
 
 
 def test_powers():
     # phi^n = F(n) phi + F(n-1) with Fibonacci F
     fib = [0, 1]
-    for _ in range(10):
+    for _ in range(40):
         fib.append(fib[-1] + fib[-2])
-    for n in range(1, 10):
-        assert GOLDEN**n == QSqrt5(fib[n - 1]) + QSqrt5(fib[n]) * GOLDEN
-    assert GOLDEN**-2 == (GOLDEN**2).inverse()
-    assert GOLDEN**0 == 1
-
-
-def test_ordering_matches_floats():
-    samples = [QSqrt5(0), QSqrt5(1), GOLDEN, -GOLDEN, QSqrt5(2, -1), QSqrt5(-3, 2), QSqrt5(Fraction(9, 4))]
-    for x in samples:
-        for y in samples:
-            if x == y:
-                continue
-            assert (x < y) == (float(x) < float(y))
+    for n in range(1, 40):
+        assert qsqrt5._pow((0, 1), n) == (fib[n - 1], fib[n])
+    assert qsqrt5._pow((7, -3), 0) == (1, 0)
+    assert qsqrt5._pow((2, 1), 3) == qsqrt5._mul((2, 1), qsqrt5._mul((2, 1), (2, 1)))
 
 
 def test_sqrt5_squares_to_five():
-    r = QSqrt5.sqrt5()
-    assert r * r == 5
-    assert not r.is_rational
-    assert QSqrt5(7).is_rational
+    root5 = (-1, 2)  # 2 phi - 1
+    assert qsqrt5._mul(root5, root5) == (5, 0)
+    assert qsqrt5._trace(root5) == 0
 
 
-def test_mixed_arithmetic_with_ints_and_fractions():
-    assert QSqrt5(1, 1) + 2 == QSqrt5(3, 1)
-    assert 2 - QSqrt5(1, 1) == QSqrt5(1, -1)
-    assert Fraction(1, 2) * QSqrt5(0, 2) == QSqrt5(0, 1)
-    assert QSqrt5(1, 2) != "text"
-
-
-@given(x=elements, y=elements, z=elements)
-@settings(max_examples=60, deadline=None)
+@given(x=pairs, y=pairs, z=pairs)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_ring_axioms(x, y, z):
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) + z == x + (y + z)
-    assert x * (y + z) == x * y + x * z
-    assert x + (-x) == 0
+    mul = qsqrt5._mul
+    assert mul(x, y) == mul(y, x)
+    assert mul(mul(x, y), z) == mul(x, mul(y, z))
+    assert mul(x, _add(y, z)) == _add(mul(x, y), mul(x, z))
+    assert mul(x, (1, 0)) == x
 
 
-@given(x=elements)
-@settings(max_examples=60, deadline=None)
-def test_conjugation_is_an_automorphism(x):
-    assert x.conjugate().conjugate() == x
-    assert (x * x).conjugate() == x.conjugate() * x.conjugate()
-    assert x.norm() == (x * x.conjugate()).a
-    if x:
-        assert x * x.inverse() == 1
+@given(x=pairs, y=pairs)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_conjugation_is_an_automorphism(x, y):
+    mul = qsqrt5._mul
+    assert _conjugate(_conjugate(x)) == x
+    assert _conjugate(mul(x, y)) == mul(_conjugate(x), _conjugate(y))
+    # the trace is the element plus its conjugate, and the norm is rational
+    assert _add(x, _conjugate(x)) == (qsqrt5._trace(x), 0)
+    assert mul(x, _conjugate(x))[1] == 0
 
 
-def test_hash_consistency():
-    assert hash(QSqrt5(2, 0)) == hash(QSqrt5(Fraction(2), Fraction(0)))
-    d = {GOLDEN: "phi"}
-    assert d[QSqrt5(Fraction(1, 2), Fraction(1, 2))] == "phi"
+def test_closed_form_matches_a_60_digit_evaluation():
+    # ((5+sqrt5)/2)^(g-1) phi^n + ((5-sqrt5)/2)^(g-1) phibar^n in floating point,
+    # with no Z[phi] code and no block recursion
+    with mpmath.workdps(60):
+        root5 = mpmath.sqrt(5)
+        phi, phibar = (1 + root5) / 2, (1 - root5) / 2
+        unit, unitbar = (5 + root5) / 2, (5 - root5) / 2
+        for g in range(40):
+            for n in range(12):
+                value = unit ** (g - 1) * phi**n + unitbar ** (g - 1) * phibar**n
+                rounded = int(mpmath.nint(value))
+                assert abs(value - rounded) < mpmath.mpf(10) ** -30
+                assert closed_form_value(g, n) == rounded, (g, n)
 
 
-def test_str_and_repr():
-    assert str(QSqrt5(3)) == "3"
-    assert str(QSqrt5(1, 2)) == "1 + 2*sqrt(5)"
-    assert repr(QSqrt5(3)) == "QSqrt5(3)"
-    assert "1/2" in repr(GOLDEN)
+@given(g=st.integers(1, 3000), n=st.integers(0, 12))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_closed_form_satisfies_the_gluing_recursion(g, n):
+    # cutting a handle: F(g, n) = F(g-1, n+2) + F(g-1, n)
+    assert closed_form_value(g, n) == closed_form_value(g - 1, n + 2) + closed_form_value(g - 1, n)
+
+
+def test_negative_arguments_are_refused():
+    for g, n in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            closed_form_value(g, n)
+
+
+@pytest.fixture
+def cold_cache():
+    closed_form_value.cache_clear()
+    yield
+    closed_form_value.cache_clear()
+
+
+def test_a_wrong_genus_zero_inverse_raises(monkeypatch, cold_cache):
+    monkeypatch.setattr(qsqrt5, "_FIVE_OVER_TWO_PLUS_PHI", (3, 0))
+    with pytest.raises(InvariantError, match=r"at \(g, n\) = \(0, 3\) does not divide by 5"):
+        closed_form_value(0, 3)
+
+
+def test_a_negative_trace_raises(monkeypatch, cold_cache):
+    monkeypatch.setattr(qsqrt5, "_trace", lambda x: -2 * x[0] - x[1])
+    with pytest.raises(InvariantError, match=r"negative at \(g, n\) = \(2, 1\): -5"):
+        closed_form_value(2, 1)
+
+
+def test_both_checks_raise_under_python_O():
+    # the same two planted faults in an optimised interpreter, where an assert would vanish
+    probe = (
+        "import wzw.qsqrt5 as q\n"
+        "q._FIVE_OVER_TWO_PLUS_PHI = (3, 0)\n"
+        "q._trace = lambda x: -2 * x[0] - x[1]\n"
+        "for g, n in ((0, 3), (2, 1)):\n"
+        "    try:\n"
+        "        q.closed_form_value(g, n)\n"
+        "    except q.InvariantError as err:\n"
+        "        print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qsqrt5.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe], capture_output=True, check=True, env=env, text=True
+    ).stdout.splitlines()
+    assert out == [
+        "the trace at (g, n) = (0, 3) does not divide by 5",
+        "the closed form is negative at (g, n) = (2, 1): -5",
+    ]

@@ -50,10 +50,10 @@ def test_no_assert_statements_in_package():
 
 
 # What each module imports from the package, anywhere in it: a submodule by
-# name, or a name of the package itself.  The Q(sqrt 5) closed form lives in
-# qsqrt5, which reaches neither the block recursion nor the Lie kernel and
-# which fusion does not import, and smatrix reaches no fusion code, so the
-# cross-checks stay independent.
+# name, or a name of the package itself.  The closed form, an integer trace in
+# Z[phi], the integers of Q(sqrt 5), lives in qsqrt5, which reaches neither the
+# block recursion nor the Lie kernel and which fusion does not import, and
+# smatrix reaches no fusion code, so the cross-checks stay independent.
 IMPORT_GRAPH = {
     "lie": {"InvariantError"},
     "qsqrt5": {"InvariantError"},
@@ -82,6 +82,16 @@ def _package_imports(module):
 @pytest.mark.parametrize("module", sorted(IMPORT_GRAPH))
 def test_intra_package_imports_follow_the_graph(module):
     assert _package_imports(module) == IMPORT_GRAPH[module]
+
+
+def test_closed_form_stays_in_integers():
+    # the closed form is pairs of ints in Z[phi]: no Fraction field arithmetic and
+    # no number class, so the general field class does not drift back in
+    tree = _tree("qsqrt5")
+    imported = {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {(n.module or "").split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "fractions" not in imported
+    assert not any(isinstance(n, ast.ClassDef) for n in ast.walk(tree))
 
 
 def _closure(module):
