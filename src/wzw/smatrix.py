@@ -4,30 +4,36 @@ This is the deliberately independent route: nothing here touches the fusion
 ring code.  Each Kac-Peterson entry (Kac, Infinite-dimensional Lie algebras,
 ch. 13) is a signed sum of N-th roots of unity, N = D (level + h^vee), so it
 is an exact element of Z[zeta_N].  kac_peterson_counts finds it with integers
-only: for each lambda it walks the Weyl orbit of lambda + rho once (with
-signs, never materialising group elements) and, for each mu, adds det(w) at
-the residue -D (w(lambda + rho), mu + rho) mod N.  S is symmetric exactly,
-and the counts are checked to be.  s_matrix then evaluates the N roots once
-with guard digits, sums each entry over its nonzero counts, normalises and
-rounds to the working precision.
+only, in one breadth-first walk of the Weyl group W over the regular orbit of
+rho.  Each element w is reached once, by a lowering reflection s_i kept only
+when i is the first negative label of s_i w(rho), and at depth l(w), so
+det w = (-1)^depth; no group element or seen-set is materialised.  The walk
+carries w(lambda + rho) for every basis weight lambda with its pairings
+D (w(lambda + rho), mu + rho), and adds det w at the residue of minus each
+pairing mod N.  The walk must pass |W| points and end in -rho alone at depth
+|Phi+|, and S is symmetric exactly, so the counts are checked to be.  s_matrix
+then evaluates the N roots once with guard digits, sums each entry over its
+nonzero counts, normalises and rounds to the working precision.
 
-The orbit walk is only offered when its work is under one cap; E8 is served
-by the positive-root sine-product column, which is all that a one-dimensional
-level-one theory needs.
+The walk is only offered when its work is under one cap; E8 is served by the
+positive-root sine-product column, which is all that a one-dimensional
+level-one theory needs.  Each sine of that product is evaluated once per
+process and binary precision (_sinpi).
 """
 
 from __future__ import annotations
 
 import os
-from operator import mul
+from functools import lru_cache
+from operator import gt, sub
 from typing import NamedTuple
 
 import mpmath as mp
 
 from .lie import InvariantError, LieAlgebraId, build_root_datum, check_weight, level_weights, primaries_at_least
 
-# matrix_work units (at most about a microsecond each); the slowest ring under the cap,
-# E6 at level 1, takes about 3 s
+# matrix_work units, 0.08-0.3 us each for s_matrix in-process; cold, E6 at level 1 answers
+# in about 0.5 s and G2 at level 16, most of it the unitarity residual, in 1.1-1.6 s
 MAX_MATRIX_WORK = 3_000_000
 PRECISION_ENV = "WZW_PRECISION"
 DEFAULT_PRECISION = 50
@@ -92,9 +98,10 @@ class SMatrix(NamedTuple):
 
 
 def matrix_work(d, n: int, big_n: int) -> int:
-    """Work of the full matrix for n primaries: n orbit walks of |W| points at
-    rank (rank + n) / 4 each (a quarter unit per rank-long tuple step), n^2
-    lists of N residue counts, and about 4n^3 for the unitarity check."""
+    """Work of the full matrix for n primaries, in the units the cap was sized in:
+    |W| rank (rank + n) / 4 for the walk of W carrying n images of rank + n
+    entries (priced when each weight had its own orbit walk), n^2 lists of N
+    residue counts, and about 4n^3 for the unitarity check."""
     return n * (d.weyl_order * d.rank * (d.rank + n) // 4 + n * big_n + 4 * n * n)
 
 
@@ -115,19 +122,40 @@ def kac_peterson_counts(algebra: LieAlgebraId, level: int):
     basis = level_weights(d, level)
     check_work(len(basis))
     shifted = [tuple(x + 1 for x in lam.labels) for lam in basis]
-    g_rho = [tuple(sum(g * y for g, y in zip(row, mu_rho)) for row in d.gram) for mu_rho in shifted]
-    counts = []
     for lam, lam_rho in zip(basis, shifted):
         if min(lam_rho) <= 0:
             raise InvariantError(f"{lam} + rho is not strictly dominant")
-        orbit = d.weyl_orbit(lam_rho)  # regular, so the signs are det(w)
-        if len(orbit) != d.weyl_order:
-            raise InvariantError(f"orbit of {lam} + rho has {len(orbit)} points, not |W|")
-        row = [[0] * big_n for _ in basis]
-        for point, sign in orbit.items():
-            for cnt, g in zip(row, g_rho):
-                cnt[-sum(map(mul, point, g)) % big_n] += sign
-        counts.append(row)
+    n, weyl = len(basis), d.weyl_order
+    # an image is the n pairings D (w(lambda + rho), mu + rho) and then the labels of
+    # w(lambda + rho); s_i subtracts c (D (alpha_i, mu + rho) ..., alpha_i), c = its label i
+    steps = [tuple(s * mu_rho[i] for mu_rho in shifted) + col
+             for i, (s, col) in enumerate(zip(d.scaled_symmetrizer, d.cartan_cols))]
+    lower = [col[:i] for i, col in enumerate(d.cartan_cols)]
+    frontier = [[tuple(d.scaled_ip(lam_rho, mu_rho) for mu_rho in shifted) + lam_rho for lam_rho in shifted]]
+    counts = [[[0] * big_n for _ in basis] for _ in basis]
+    sign, depth, points = 1, 0, 0
+    while True:
+        for images in frontier:
+            for row, image in zip(counts, images):
+                for cnt, p in zip(row, image):
+                    cnt[-p % big_n] += sign
+        points += len(frontier)
+        nxt = []
+        for images in frontier:
+            x = images[0][n:]  # w(rho), basis[0] being the vacuum; every w(lambda + rho) has its signs
+            for i, c in enumerate(x):
+                # keep s_i x only if i is its first negative label: one parent per element
+                if c > 0 and all(map(gt, x, map(c.__mul__, lower[i]))):
+                    step = steps[i]
+                    nxt.append([tuple(map(sub, v, map(v[n + i].__mul__, step))) for v in images])
+        if points > weyl or not nxt and points < weyl:  # the first also stops a walk that never ends
+            raise InvariantError(f"{algebra}: the walk of W passes {points} points, |W| = {weyl}")
+        if not nxt:
+            break
+        frontier, sign, depth = nxt, -sign, depth + 1
+    if len(frontier) != 1 or frontier[0][0][n:] != (-1,) * d.rank or depth != len(d.positive_roots):
+        raise InvariantError(f"{algebra}: the walk of W ends at depth {depth}, not in -rho alone at depth "
+                             f"{len(d.positive_roots)}")
     for i in range(len(basis)):
         for j in range(i):
             if counts[i][j] != counts[j][i]:
@@ -152,11 +180,20 @@ def s_matrix(algebra: LieAlgebraId, level: int, precision: int | None = None) ->
     return SMatrix(algebra, level, basis, rows, precision)
 
 
+@lru_cache(maxsize=None)
+def _sinpi(m: int, denom: int, prec: int):
+    """sin(pi m / denom) at prec bits, evaluated once per process."""
+    with mp.workprec(prec):
+        return mp.sinpi(mp.mpf(m) / denom)
+
+
 def _sine_product(d, level: int, labels):
-    """Prod over beta > 0 of sin(pi D (lambda + rho, beta) / N), N = D (level + h^vee)."""
+    """Prod over beta > 0 of sin(pi D (lambda + rho, beta) / N), N = D (level + h^vee),
+    at the working precision."""
     denom = (level + d.dual_coxeter) * d.denominator
     shifted = tuple(x + 1 for x in labels)
-    return mp.fprod(mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom) for beta in d.positive_roots)
+    prec = mp.mp.prec
+    return mp.fprod(_sinpi(d.scaled_ip_root(shifted, beta), denom, prec) for beta in d.positive_roots)
 
 
 def s_matrix_column(algebra: LieAlgebraId, level: int, precision: int | None = None):

@@ -149,6 +149,37 @@ def test_one_sine_product_matches_the_per_root_forms(precision):
                 assert abs(got - want) < mp.mpf(10) ** (5 - precision), (algebra, level, w)
 
 
+def _uncached_sine_product(d, level, labels):
+    """The product of sines with every factor evaluated afresh."""
+    denom = (level + d.dual_coxeter) * d.denominator
+    shifted = tuple(x + 1 for x in labels)
+    return mp.fprod(mp.sinpi(mp.mpf(d.scaled_ip_root(shifted, beta)) / denom) for beta in d.positive_roots)
+
+
+def test_cached_sines_never_cross_precisions():
+    # a sine cached at one precision must not stand in for another: each call is
+    # compared with products of fresh sines, with ==, and the repeat at 15 digits
+    # is served from the cache alone
+    smatrix._sinpi.cache_clear()
+    for step, precision in enumerate((200, 15, 50, 15)):
+        misses = smatrix._sinpi.cache_info().misses
+        for algebra, level in ((G2, 3), (F4, 2), (E8, 1)):
+            d = build_root_datum(algebra)
+            basis, column = s_matrix_column(algebra, level, precision)
+            with mp.workdps(precision):
+                raw = [_uncached_sine_product(d, level, w.labels) for w in basis]
+                scale = mp.sqrt(sum(x**2 for x in raw))
+                assert column == [x / scale for x in raw], (algebra, level, precision)
+                vacuum = _uncached_sine_product(d, level, (0,) * d.rank)
+                for w in basis:
+                    got = quantum_dimension(algebra, level, w.labels, precision)
+                    assert got == _uncached_sine_product(d, level, w.labels) / vacuum, (algebra, w, precision)
+        if step == 3:
+            assert smatrix._sinpi.cache_info().misses == misses
+        else:
+            assert smatrix._sinpi.cache_info().misses > misses
+
+
 def test_e8_full_matrix_rejected_column_allowed():
     assert s_matrix(G2, 1).algebra == G2
     with pytest.raises(ValueError):

@@ -6,21 +6,29 @@ x^N - 1 and compared mod the cyclotomic polynomial Phi_N, which is built here
 by exact division, so every check below is integer arithmetic.
 """
 
+import os
+import re
+import subprocess
+import sys
 from functools import lru_cache
 from math import gcd
+from operator import mul
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
 from wzw import fusion, smatrix
 from wzw.fusion import _fusion_matrix, _handle, fusion_ring
-from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
+from wzw.lie import InvariantError, LieAlgebraId, build_root_datum, level_weights
 from wzw.smatrix import kac_peterson_counts, s_matrix
 
 G2 = LieAlgebraId("G", 2)
 F4 = LieAlgebraId("F", 4)
 A2 = LieAlgebraId("A", 2)
 B3 = LieAlgebraId("B", 3)
+C3 = LieAlgebraId("C", 3)
+D4 = LieAlgebraId("D", 4)
 
 
 def _divide_exact(num, den):
@@ -174,25 +182,108 @@ def test_s_squared_is_charge_conjugation(algebra, level):
         assert dual != list(range(n))  # conjugation is not the identity here
 
 
-def test_counts_asymmetry_raises(monkeypatch):
-    # flip the sign of one orbit point of the second row: the count still
-    # matches |W| but S_ij = S_ji breaks, and the check is a plain if
+# Faults planted in the root datum that the one walk of W reads, each a wrapper
+# over the real G2 datum.  The same source runs in-process and under python -O.
+_PLANTED_DATA = """
+from wzw import smatrix
+from wzw.lie import InvariantError, LieAlgebraId, build_root_datum
+
+G2 = LieAlgebraId("G", 2)
+
+
+class Planted:
+    def __init__(self, real, **fields):
+        self.real, self.fields = real, fields
+
+    def __getattr__(self, name):
+        return self.fields[name] if name in self.fields else getattr(self.real, name)
+
+
+def planted(fault):
     real = build_root_datum(G2)
+    if fault == "symmetrizer":  # one wrong D (alpha_2, omega_2): the pairings drift, the walk is sound
+        return Planted(real, scaled_symmetrizer=(real.scaled_symmetrizer[0], real.scaled_symmetrizer[1] + 1))
+    if fault == "infinite":  # a_12 a_21 = 4: an infinite dihedral group, whose walk never ends
+        return Planted(real, cartan_cols=((2, -4), (-1, 2)))
+    if fault == "order":  # |W| two too large: the walk ends two points short
+        return Planted(real, weyl_order=real.weyl_order + 2)
+    if fault == "depth":  # one positive root dropped: w0 lies one step deeper than |Phi+|
+        return Planted(real, positive_roots=real.positive_roots[:-1])
+    raise ValueError(fault)
+"""
 
-    class Flipped:
-        def __getattr__(self, name):
-            return getattr(real, name)
+_FAULTS = {
+    "symmetrizer": r"G2 level 1: Kac-Peterson counts break S_ij = S_ji at \(1, 0\)",
+    "infinite": r"G2: the walk of W passes 13 points, \|W\| = 12",
+    "order": r"G2: the walk of W passes 12 points, \|W\| = 14",
+    "depth": r"G2: the walk of W ends at depth 6, not in -rho alone at depth 5",
+}
 
-        def weyl_orbit(self, labels):
-            orbit = real.weyl_orbit(labels)
-            if labels == (2, 1):
-                last = next(reversed(orbit))
-                orbit[last] = -orbit[last]
-            return orbit
 
-    monkeypatch.setattr(smatrix, "build_root_datum", lambda algebra: Flipped())
+def _plant(monkeypatch, fault):
+    space = {}
+    exec(_PLANTED_DATA, space)
+    monkeypatch.setattr(smatrix, "build_root_datum", lambda algebra: space["planted"](fault))
+
+
+def test_counts_asymmetry_raises(monkeypatch):
+    # a wrong D (alpha_2, omega_2) passes the |W| and -rho checks of the walk
+    # but breaks S_ij = S_ji, and the check is a plain if
+    _plant(monkeypatch, "symmetrizer")
     with pytest.raises(InvariantError, match="S_ij = S_ji"):
         kac_peterson_counts(G2, 1)
+
+
+@pytest.mark.parametrize("fault", ["infinite", "order", "depth"])
+def test_a_planted_walk_fault_raises(monkeypatch, fault):
+    _plant(monkeypatch, fault)
+    with pytest.raises(InvariantError, match=_FAULTS[fault]):
+        kac_peterson_counts(G2, 1)
+
+
+def test_the_planted_faults_raise_under_python_O():
+    # the same faults in an optimised interpreter, where an assert would vanish
+    probe = _PLANTED_DATA + (
+        f"for fault in {sorted(_FAULTS)!r}:\n"
+        "    smatrix.build_root_datum = lambda algebra: planted(fault)\n"
+        "    try:\n"
+        "        smatrix.kac_peterson_counts(G2, 1)\n"
+        "    except InvariantError as err:\n"
+        "        print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(smatrix.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", probe], capture_output=True, check=True, env=env, text=True
+    ).stdout.splitlines()
+    assert len(out) == len(_FAULTS)
+    for line, fault in zip(out, sorted(_FAULTS)):
+        assert re.fullmatch(_FAULTS[fault], line), (fault, line)
+
+
+def _per_weight_counts(algebra, level):
+    """The earlier route, kept as a reference: a separate walk of the Weyl orbit of
+    each lambda + rho (RootDatum.weyl_orbit), every point paired with each mu + rho."""
+    d = build_root_datum(algebra)
+    basis = level_weights(d, level)
+    big_n = (level + d.dual_coxeter) * d.denominator
+    shifted = [tuple(x + 1 for x in lam.labels) for lam in basis]
+    g_rho = [tuple(sum(g * y for g, y in zip(row, mu_rho)) for row in d.gram) for mu_rho in shifted]
+    counts = []
+    for lam_rho in shifted:
+        row = [[0] * big_n for _ in basis]
+        for point, sign in d.weyl_orbit(lam_rho).items():
+            for cnt, g in zip(row, g_rho):
+                cnt[-sum(map(mul, point, g)) % big_n] += sign
+        counts.append(row)
+    return tuple(basis), big_n, counts
+
+
+WALK_CASES = [(A2, 3), (B3, 2), (C3, 2), (D4, 2)] + [(F4, k) for k in range(3)] + [(G2, k) for k in range(6)]
+
+
+@pytest.mark.parametrize("algebra,level", WALK_CASES)
+def test_one_walk_of_w_matches_a_walk_per_weight(algebra, level):
+    assert kac_peterson_counts(algebra, level) == _per_weight_counts(algebra, level)
 
 
 def _per_point_s_matrix(algebra, level, precision):
