@@ -32,17 +32,6 @@ def _pow(x, e: int):
     return result
 
 
-@lru_cache(maxsize=None)
-def _handle_power(e: int):
-    """(2 + phi)^e for e >= 0, squared from the cached (2 + phi)^(e // 2), so the
-    powers of one relation share their squarings."""
-    if not e:
-        return (1, 0)
-    half = _handle_power(e // 2)
-    square = _mul(half, half)
-    return _mul(square, _TWO_PLUS_PHI) if e & 1 else square
-
-
 def _trace(x) -> int:
     return 2 * x[0] + x[1]
 
@@ -57,7 +46,7 @@ def closed_form_value(genus: int, points: int) -> int:
     """
     if genus < 0 or points < 0:
         raise ValueError("genus and point count must be nonnegative")
-    head, denominator = (_handle_power(genus - 1), 1) if genus else (_FIVE_OVER_TWO_PLUS_PHI, 5)
+    head, denominator = (_pow(_TWO_PLUS_PHI, genus - 1), 1) if genus else (_FIVE_OVER_TWO_PLUS_PHI, 5)
     value, rest = divmod(_trace(_mul(head, _pow(_PHI, points))), denominator)
     if rest:
         raise InvariantError(f"the trace at (g, n) = ({genus}, {points}) does not divide by 5")

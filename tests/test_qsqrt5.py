@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzw import InvariantError, qsqrt5
-from wzw.picard import emit_relation
 from wzw.qsqrt5 import closed_form_value
 
 pairs = st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
@@ -111,10 +110,8 @@ def test_negative_arguments_are_refused():
 @pytest.fixture
 def cold_cache():
     closed_form_value.cache_clear()
-    qsqrt5._handle_power.cache_clear()
     yield
     closed_form_value.cache_clear()
-    qsqrt5._handle_power.cache_clear()
 
 
 def test_a_wrong_genus_zero_inverse_raises(monkeypatch, cold_cache):
@@ -149,27 +146,3 @@ def test_both_checks_raise_under_python_O():
         "the trace at (g, n) = (0, 3) does not divide by 5",
         "the closed form is negative at (g, n) = (2, 1): -5",
     ]
-
-
-def _from_scratch(g, n):
-    """The closed form with (2 + phi)^(g-1) raised by binary powering for this (g, n) alone."""
-    head, denominator = (qsqrt5._pow(qsqrt5._TWO_PLUS_PHI, g - 1), 1) if g else (qsqrt5._FIVE_OVER_TWO_PLUS_PHI, 5)
-    return qsqrt5._trace(qsqrt5._mul(head, qsqrt5._pow((0, 1), n))) // denominator
-
-
-@pytest.mark.parametrize("genera", [range(200), range(199, -1, -1)])
-def test_shared_handle_powers_equal_powering_from_scratch(genera, cold_cache):
-    # filled upwards and downwards, the shared powers give the values of the unshared route
-    for g in genera:
-        for n in range(12):
-            assert closed_form_value(g, n) == _from_scratch(g, n), (g, n)
-    assert qsqrt5._handle_power(0) == (1, 0)
-    assert qsqrt5._handle_power(5) == qsqrt5._pow(qsqrt5._TWO_PLUS_PHI, 5)
-
-
-def test_one_relation_shares_its_squarings(monkeypatch, cold_cache):
-    # emit_relation(2832, 0) reads 2,833 values; powering each from scratch took 54,101 products
-    real, calls = qsqrt5._mul, []
-    monkeypatch.setattr(qsqrt5, "_mul", lambda x, y: calls.append(None) or real(x, y))
-    emit_relation(2832, 0)
-    assert len(calls) == 12_745
