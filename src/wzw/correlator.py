@@ -487,11 +487,15 @@ def gauge_move(state: CorrelatorState, which_slot: int, op: ModeOp, env: Pairing
 
 
 def default_strategy(slots) -> int:
-    """Gauge away the highest-numbered nonempty slot first."""
-    for i in (2, 1, 0):
-        if slots[i]:
-            return i
-    raise ValueError("no nonempty slot")
+    """Gauge away the lowest-numbered slot led by a Cartan mode, else the lowest nonempty one.
+
+    [H(m), X(n)] is a multiple of X(m + n), so moving a Cartan mode never adds
+    operators, while [X+r, X-r] adds H_r and a central term and makes terms branch.
+    """
+    nonempty = [i for i in range(3) if slots[i]]
+    if not nonempty:
+        raise ValueError("no nonempty slot")
+    return next((i for i in nonempty if slots[i][0].kind == "h"), nonempty[0])
 
 
 def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget: int = 10000) -> Poly:

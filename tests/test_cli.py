@@ -375,6 +375,28 @@ def test_correlator_budget_overrun_exits_two(capsys, monkeypatch, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ") and "gauge moves" in err
 
 
+@pytest.mark.parametrize(
+    "slots, least",
+    [
+        # highest slot first stopped at the 10,000-move budget (exit 2); the value 0 is
+        # the null-vector relation X+a(-1)^(level+1) = 0
+        ((" H(-1)" * 8, " X+a(-1)" * 8, " X-a(-1)" * 8), 13),
+        # highest slot first answered 0 too, in 4,005 moves
+        ((" H(-1000)", " X+a(-1000) X-a(-1)", " X-a(-1000) X+a(-1)"), 1006),
+    ],
+    ids=["null-vector", "deep-modes"],
+)
+def test_correlator_scripts_of_the_caps_paragraph_answer_zero(capsys, monkeypatch, tmp_path, slots, least):
+    script = tmp_path / "s.txt"
+    script.write_text("level 3\n" + "".join(f"slot{i}:{words}\n" for i, words in enumerate(slots, 1)))
+    code, out, _ = run(capsys, "correlator", "--script", str(script), "--json")
+    assert code == 0 and json.loads(out)["terms"] == []
+    reduce_state = correlator.reduce_state
+    for budget, expected in ((least - 1, 2), (least, 0)):
+        monkeypatch.setattr(correlator, "reduce_state", functools.partial(reduce_state, budget=budget))
+        assert run(capsys, "correlator", "--script", str(script), "--json")[0] == expected
+
+
 
 def test_correlator_script_operator_cap(capsys, tmp_path):
     # the cap bounds time: a script over it exits 2 with one line, one under it answers

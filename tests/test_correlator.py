@@ -1,6 +1,7 @@
 """Symbolic current-algebra rewriting: brackets, gauge moves, reductions."""
 
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -252,7 +253,7 @@ def test_integer_inputs_keep_int_coefficients_through_a_reduction(monkeypatch):
         accumulate(acc, key, value)
 
     monkeypatch.setattr(correlator, "_accumulate", recorded)
-    value = reduce_state(_hxx(3, 2), PairingEnv(level=3))
+    value = reduce_state(_hxx(3, 2), PairingEnv(level=3), strategy=_highest_slot_first)
     assert value and set(map(type, value.terms.values())) == {int}
     assert len(seen) > 1000 and set(seen) == {int}
 
@@ -428,7 +429,7 @@ def test_confluence_across_strategies():
     for build in (case_opposite_pair, case_cartan_insertion):
         values = {
             str(reduce_state(build(), PairingEnv(level=1), strategy=s))
-            for s in (None, default_strategy, lowest, middle_biased)
+            for s in (None, default_strategy, lowest, middle_biased, _highest_slot_first)
         }
         assert len(values) == 1
 
@@ -446,15 +447,34 @@ def test_budget_guard():
         reduce_state(case_cartan_insertion(), PairingEnv(level=1), budget=0)
 
 
-def test_budget_counts_gauge_moves_exactly():
-    # 61 gauge moves reduce H(-1)^3 X+a(-1)^3 X-a(-1)^3 at level 3; 60 do not
-    state, env = parse_script(
-        "level 3\nslot1: H(-1) H(-1) H(-1)\nslot2: X+a(-1) X+a(-1) X+a(-1)\n"
-        "slot3: X-a(-1) X-a(-1) X-a(-1)\n"
-    )
+def _lowest_slot_first(slots):
+    return next(i for i in range(3) if slots[i])
+
+
+def _highest_slot_first(slots):
+    # the default order before the Cartan-first rule: the costliest order known
+    return next(i for i in (2, 1, 0) if slots[i])
+
+
+def _assert_least_budget(state, env, strategy, least):
     with pytest.raises(ReductionBudgetExceeded):
-        reduce_state(state, env, budget=60)
-    assert reduce_state(state, env, budget=61) == Poly({("aH",) * 3 + ("xa",) * 3: 972})
+        reduce_state(state, env, strategy=strategy, budget=least - 1)
+    return reduce_state(state, env, strategy=strategy, budget=least)
+
+
+_H3X3X3 = "level 3\nslot1: H(-1) H(-1) H(-1)\nslot2: X+a(-1) X+a(-1) X+a(-1)\nslot3: X-a(-1) X-a(-1) X-a(-1)\n"
+
+
+def test_budget_counts_gauge_moves_exactly():
+    # 61 gauge moves reduce H(-1)^3 X+a(-1)^3 X-a(-1)^3 at level 3 highest slot first; 60 do not
+    value = _assert_least_budget(*parse_script(_H3X3X3), _highest_slot_first, 61)
+    assert value == Poly({("aH",) * 3 + ("xa",) * 3: 972})
+
+
+def test_default_order_budget_counts_gauge_moves_exactly():
+    # the default order gauges the H word first: 6 gauge moves complete, 5 do not
+    value = _assert_least_budget(*parse_script(_H3X3X3), None, 6)
+    assert value == Poly({("aH",) * 3 + ("xa",) * 3: 972})
 
 
 def _hxx(k, mode, root="a"):
@@ -463,19 +483,54 @@ def _hxx(k, mode, root="a"):
     )
 
 
+_LEAST_BUDGET_CASES = [(case_cartan_insertion(), 1), (_hxx(4, 1), 5), (_hxx(3, 2), 3), (_hxx(2, 4), 4)]
+_LEAST_BUDGET_IDS = ["case-III", "k4-mode1", "k3-mode2", "k2-mode4"]
+
+
 @pytest.mark.parametrize(
     "state, level, least",
-    [(case_cartan_insertion(), 1, 4), (_hxx(4, 1), 5, 272), (_hxx(3, 2), 3, 216), (_hxx(2, 4), 4, 91)],
-    ids=["case-III", "k4-mode1", "k3-mode2", "k2-mode4"],
+    [(*case, least) for case, least in zip(_LEAST_BUDGET_CASES, (4, 272, 216, 91))],
+    ids=_LEAST_BUDGET_IDS,
 )
 def test_least_budgets_that_complete(state, level, least):
-    with pytest.raises(ReductionBudgetExceeded):
-        reduce_state(state, PairingEnv(level=level), budget=least - 1)
-    assert reduce_state(state, PairingEnv(level=level), budget=least)
+    assert _assert_least_budget(state, PairingEnv(level=level), _highest_slot_first, least)
 
 
-def _lowest_slot_first(slots):
-    return next(i for i in range(3) if slots[i])
+@pytest.mark.parametrize(
+    "state, level, least",
+    [(*case, least) for case, least in zip(_LEAST_BUDGET_CASES, (2, 8, 26, 28))],
+    ids=_LEAST_BUDGET_IDS,
+)
+def test_default_order_least_budgets_that_complete(state, level, least):
+    assert _assert_least_budget(state, PairingEnv(level=level), None, least)
+
+
+# least budgets of the highest-slot-first order for H(-m)^k X+b(-m)^k X-b(-m)^k with
+# the H word in slot 1, 2 or 3; both placements of the X words cost the same
+HIGHEST_SLOT_FIRST_BUDGETS = {
+    (4, 1, 5): (272, 409, 79),
+    (3, 2, 3): (216, 383, 154),
+    (2, 4, 4): (91, 136, 108),
+    (3, 1, 4): (75, 90, 28),
+    (2, 3, 3): (61, 83, 62),
+    (2, 2, 2): (37, 42, 27),
+    (2, 1, 4): (19, 18, 10),
+    (4, 1, 1): (261, 394, 77),
+}
+
+
+@pytest.mark.parametrize("k, mode, level", sorted(HIGHEST_SLOT_FIRST_BUDGETS))
+def test_default_order_never_costs_more_than_highest_slot_first(k, mode, level):
+    words = ((cartan_mode(-mode),) * k, (root_mode("b", +1, -mode),) * k, (root_mode("b", -1, -mode),) * k)
+    env = PairingEnv(level=level)
+    for perm in itertools.permutations(range(3)):
+        slots = [None] * 3
+        for word, i in zip(words, perm):
+            slots[i] = word
+        state = CorrelatorState.single(*slots)
+        least = HIGHEST_SLOT_FIRST_BUDGETS[(k, mode, level)][perm[0]]
+        old = _assert_least_budget(state, env, _highest_slot_first, least)
+        assert reduce_state(state, env, budget=least) == old
 
 
 # sha256 of the JSON terms of H(-m)^k X+r(-m)^k X-r(-m)^k for r = a, then r,
@@ -510,7 +565,10 @@ ENGINE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("strategy", [None, _lowest_slot_first], ids=["default", "lowest-slot-first"])
+@pytest.mark.parametrize(
+    "strategy", [None, _lowest_slot_first, _highest_slot_first],
+    ids=["default", "lowest-slot-first", "highest-slot-first"],
+)
 @pytest.mark.parametrize("k, mode, level", sorted(ENGINE_DIGESTS))
 def test_engine_matches_its_pinned_digests(k, mode, level, strategy):
     doc = [
