@@ -228,7 +228,6 @@ def cmd_branch_verify(args):
 def cmd_correlator(args):
     from .correlator import (
         PairingEnv,
-        ReductionBudgetExceeded,
         case_cartan_insertion,
         case_opposite_pair,
         case_vacua,
@@ -247,10 +246,7 @@ def cmd_correlator(args):
         state = cases[args.case]()
         env = PairingEnv(level=args.level)
         doc = {"case": args.case}
-    try:
-        value = reduce_state(state, env)
-    except ReductionBudgetExceeded as exc:  # a usage error: main exits 2
-        raise ValueError(str(exc)) from None
+    value = reduce_state(state, env)  # an exhausted budget is a ValueError: main exits 2
     doc["level"] = env.level
     doc["value"] = str(value)
     doc["terms"] = value.json_obj()

@@ -37,8 +37,8 @@ from itertools import chain, product
 from typing import NamedTuple
 
 
-class ReductionBudgetExceeded(RuntimeError):
-    """Raised when the rewriting loop exceeds its step budget."""
+class ReductionBudgetExceeded(RuntimeError, ValueError):
+    """Raised when the rewriting loop exceeds its step budget; a ValueError, so the CLI refuses it."""
 
 
 def _accumulate(acc: dict, key, value) -> None:

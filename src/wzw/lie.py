@@ -24,11 +24,13 @@ there are no floats.  A failed internal check raises InvariantError, which
 stays active under python -O.
 
 One walk, dominant_weights, enumerates dominant weights under a monotone cost;
-one routine, fold_sum, sums the signed chamber or alcove folds of weights, each
-distinct point folded once per process through the memo _shifted_fold; and
-one recursion, the affine Freudenthal step of GradedModule, gives every weight
-multiplicity: the shifted-norm difference multiplies the unknown, the right
-side sums over the positive affine roots, and the division is checked to be
+one tree walk, weyl_walk, gives each point of a Weyl orbit once, to weyl_orbit
+and the S-matrix counts; one routine, fold_sum, sums the signed chamber or
+alcove folds of weights, each distinct point folded once per process through
+the memo _shifted_fold; and one recursion, the affine Freudenthal step of
+GradedModule, gives every weight multiplicity: the shifted-norm difference
+multiplies the unknown, the right side sums over the positive affine roots,
+and the division is checked to be
 exact.  Finite weight systems are the depth-0 rows of that table.
 """
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge, sub
 from typing import Iterable, NamedTuple
 
 from . import InvariantError  # defined in the package so cli can catch it without this module
@@ -156,6 +159,29 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
     if rem:
         raise InvariantError(f"{what} is not an integer: {num}/{den}")
     return q
+
+
+def weyl_walk(start, steps):
+    """Walk the Weyl orbit of a dominant weight x, walls allowed, as a tree with no seen-set.
+
+    The last rank entries of each tuple in start are Dynkin labels, x those of the first; step i,
+    ending in column i of the Cartan matrix, is what s_i subtracts per unit of the tuple's own
+    label i.  Each point y but x has one parent s_i y, i its first negative label, so y is reached
+    once.  Yields (depth, images) once per point, in order of depth, with images the tuples of start
+    moved by the same shortest w, so depth = l(w) and det w = (-1)^depth.
+    """
+    off = len(steps[0]) - len(steps)
+    lower = [step[off:off + i] for i, step in enumerate(steps)]
+    frontier, depth = [start], 0
+    while frontier:
+        nxt = []
+        for images in frontier:
+            yield depth, images
+            x = images[0][off:]
+            for i, c in enumerate(x):
+                if c > 0 and all(map(ge, x, map(c.__mul__, lower[i]))):  # i is the first negative label of s_i x
+                    nxt.append([tuple(map(sub, v, map(v[off + i].__mul__, steps[i]))) for v in images])
+        frontier, depth = nxt, depth + 1
 
 
 class RootDatum(NamedTuple):
@@ -286,27 +312,14 @@ class RootDatum(NamedTuple):
         return self.fold(labels)[0]
 
     def weyl_orbit(self, labels: Labels) -> dict:
-        """Weyl orbit of a weight, each point mapped to det(w) for a w reaching it.
+        """Weyl orbit of a weight, each point mapped to det(w) for a w reaching it from the input.
 
-        The sign is det(w) only for a regular weight (trivial stabiliser); for
-        a weight on a wall it depends on the walk, and only the keys matter.
-        Points are in breadth-first order from the input.
+        The input is folded to the dominant x, and weyl_walk gives the points of W x in order of
+        depth from x.  The sign is det(w) only for a regular weight (trivial stabiliser); on a wall
+        only the keys matter.  No cap: all |W| / |W_J| points, 696,729,600 for a regular E8 weight.
         """
-        cols = self.cartan_cols
-        seen = {labels: 1}
-        frontier = [labels]
-        while frontier:
-            nxt = []
-            for lab in frontier:
-                s = -seen[lab]
-                for i, c in enumerate(lab):
-                    if c:
-                        img = tuple(x - c * y for x, y in zip(lab, cols[i]))
-                        if img not in seen:
-                            seen[img] = s
-                            nxt.append(img)
-            frontier = nxt
-        return seen
+        dom, sign, _ = self.fold(labels)
+        return {images[0]: -sign if depth & 1 else sign for depth, images in weyl_walk([dom], self.cartan_cols)}
 
     def orbit_size(self, dominant_labels: Labels) -> int:
         """|W x| = |W| / |W_J| for dominant x, with J the nodes where x has a zero label."""

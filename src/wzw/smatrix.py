@@ -4,9 +4,9 @@ This is the deliberately independent route: nothing here touches the fusion
 ring code.  Each Kac-Peterson entry (Kac, Infinite-dimensional Lie algebras,
 ch. 13) is a signed sum of N-th roots of unity, N = D (level + h^vee), so it
 is an exact element of Z[zeta_N].  kac_peterson_counts finds it with integers
-only, in one breadth-first walk of the Weyl group W over the regular orbit of
-rho.  Each element w is reached once, by a lowering reflection s_i kept only
-when i is the first negative label of s_i w(rho), and at depth l(w), so
+only, in one walk of the Weyl group W over the regular orbit of rho by
+lie.weyl_walk, the package's one orbit walk: each element w is reached once,
+by s_i at the first negative label of w(rho), at depth l(w), so
 det w = (-1)^depth; no group element or seen-set is materialised.  The walk
 carries w(lambda + rho) for every basis weight lambda with its pairings
 D (w(lambda + rho), mu + rho), and adds det w at the residue of minus each
@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from operator import gt, sub
 from typing import NamedTuple
 
 import mpmath as mp
 
-from .lie import InvariantError, LieAlgebraId, build_root_datum, check_weight, level_weights, primaries_at_least
+from .lie import (InvariantError, LieAlgebraId, build_root_datum, check_weight, level_weights,
+                  primaries_at_least, weyl_walk)
 
 # matrix_work units, 0.08-0.3 us each for s_matrix in-process; cold, E6 at level 1 answers
 # in about 0.5 s and G2 at level 16, most of it the unitarity residual, in 1.1-1.6 s
@@ -125,37 +125,26 @@ def kac_peterson_counts(algebra: LieAlgebraId, level: int):
     for lam, lam_rho in zip(basis, shifted):
         if min(lam_rho) <= 0:
             raise InvariantError(f"{lam} + rho is not strictly dominant")
-    n, weyl = len(basis), d.weyl_order
-    # an image is the n pairings D (w(lambda + rho), mu + rho) and then the labels of
-    # w(lambda + rho); s_i subtracts c (D (alpha_i, mu + rho) ..., alpha_i), c = its label i
+    n, weyl, top = len(basis), d.weyl_order, len(d.positive_roots)
+    # an image is the n pairings D (w(lambda + rho), mu + rho) and then the labels of w(lambda + rho),
+    # the vacuum's w(rho) first; s_i subtracts c (D (alpha_i, mu + rho) ..., alpha_i), c = its label i
     steps = [tuple(s * mu_rho[i] for mu_rho in shifted) + col
              for i, (s, col) in enumerate(zip(d.scaled_symmetrizer, d.cartan_cols))]
-    lower = [col[:i] for i, col in enumerate(d.cartan_cols)]
-    frontier = [[tuple(d.scaled_ip(lam_rho, mu_rho) for mu_rho in shifted) + lam_rho for lam_rho in shifted]]
+    start = [tuple(d.scaled_ip(lam_rho, mu_rho) for mu_rho in shifted) + lam_rho for lam_rho in shifted]
     counts = [[[0] * big_n for _ in basis] for _ in basis]
-    sign, depth, points = 1, 0, 0
-    while True:
-        for images in frontier:
-            for row, image in zip(counts, images):
-                for cnt, p in zip(row, image):
-                    cnt[-p % big_n] += sign
-        points += len(frontier)
-        nxt = []
-        for images in frontier:
-            x = images[0][n:]  # w(rho), basis[0] being the vacuum; every w(lambda + rho) has its signs
-            for i, c in enumerate(x):
-                # keep s_i x only if i is its first negative label: one parent per element
-                if c > 0 and all(map(gt, x, map(c.__mul__, lower[i]))):
-                    step = steps[i]
-                    nxt.append([tuple(map(sub, v, map(v[n + i].__mul__, step))) for v in images])
-        if points > weyl or not nxt and points < weyl:  # the first also stops a walk that never ends
-            raise InvariantError(f"{algebra}: the walk of W passes {points} points, |W| = {weyl}")
-        if not nxt:
+    deep = 0
+    for points, (depth, images) in enumerate(weyl_walk(start, steps), 1):
+        if points > weyl:  # a walk that passes |W| may never end
             break
-        frontier, sign, depth = nxt, -sign, depth + 1
-    if len(frontier) != 1 or frontier[0][0][n:] != (-1,) * d.rank or depth != len(d.positive_roots):
-        raise InvariantError(f"{algebra}: the walk of W ends at depth {depth}, not in -rho alone at depth "
-                             f"{len(d.positive_roots)}")
+        deep += depth >= top
+        sign = -1 if depth & 1 else 1
+        for row, image in zip(counts, images):
+            for cnt, p in zip(row, image):
+                cnt[-p % big_n] += sign
+    if points != weyl:
+        raise InvariantError(f"{algebra}: the walk of W passes {points} points, |W| = {weyl}")
+    if deep != 1 or depth != top or images[0][n:] != (-1,) * d.rank:
+        raise InvariantError(f"{algebra}: the walk of W ends at depth {depth}, not in -rho alone at depth {top}")
     for i in range(len(basis)):
         for j in range(i):
             if counts[i][j] != counts[j][i]:

@@ -445,6 +445,8 @@ def test_reduction_deterministic():
 def test_budget_guard():
     with pytest.raises(ReductionBudgetExceeded):
         reduce_state(case_cartan_insertion(), PairingEnv(level=1), budget=0)
+    # a refusal of the input size, caught by the CLI with every other ValueError
+    assert issubclass(ReductionBudgetExceeded, RuntimeError) and issubclass(ReductionBudgetExceeded, ValueError)
 
 
 def _lowest_slot_first(slots):

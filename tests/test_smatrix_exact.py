@@ -17,6 +17,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wzw import fusion, smatrix
 from wzw.fusion import _fusion_matrix, _handle, fusion_ring
@@ -26,6 +28,7 @@ from wzw.smatrix import kac_peterson_counts, s_matrix
 G2 = LieAlgebraId("G", 2)
 F4 = LieAlgebraId("F", 4)
 A2 = LieAlgebraId("A", 2)
+A3 = LieAlgebraId("A", 3)
 B3 = LieAlgebraId("B", 3)
 C3 = LieAlgebraId("C", 3)
 D4 = LieAlgebraId("D", 4)
@@ -260,9 +263,44 @@ def test_the_planted_faults_raise_under_python_O():
         assert re.fullmatch(_FAULTS[fault], line), (fault, line)
 
 
+def _reference_orbit(d, labels):
+    """The library's earlier orbit walk, kept here so the cross-checks below share no code
+    with lie.weyl_walk: breadth-first from the input with a seen-dict, each point mapped
+    to det(w) for the first w found that reaches it (det(w) itself on a regular orbit)."""
+    cols = d.cartan_cols
+    seen = {labels: 1}
+    frontier = [labels]
+    while frontier:
+        nxt = []
+        for lab in frontier:
+            s = -seen[lab]
+            for i, c in enumerate(lab):
+                if c:
+                    img = tuple(x - c * y for x, y in zip(lab, cols[i]))
+                    if img not in seen:
+                        seen[img] = s
+                        nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_weyl_orbit_of_a_non_dominant_weight_matches_the_reference_walk(data):
+    # weyl_orbit folds the input first and walks from the dominant point; the reference
+    # walks from the input itself, so the signs agree only where det(w) is well defined
+    d = build_root_datum(data.draw(st.sampled_from([G2, F4, A3, B3, C3, D4])))
+    x = data.draw(st.tuples(*[st.integers(-3, 3)] * d.rank))
+    assume(min(x) < 0)
+    orbit, ref = d.weyl_orbit(x), _reference_orbit(d, x)
+    assert orbit.keys() == ref.keys()
+    if 0 not in d.dominant(x):
+        assert orbit == ref
+
+
 def _per_weight_counts(algebra, level):
     """The earlier route, kept as a reference: a separate walk of the Weyl orbit of
-    each lambda + rho (RootDatum.weyl_orbit), every point paired with each mu + rho."""
+    each lambda + rho (_reference_orbit), every point paired with each mu + rho."""
     d = build_root_datum(algebra)
     basis = level_weights(d, level)
     big_n = (level + d.dual_coxeter) * d.denominator
@@ -271,7 +309,7 @@ def _per_weight_counts(algebra, level):
     counts = []
     for lam_rho in shifted:
         row = [[0] * big_n for _ in basis]
-        for point, sign in d.weyl_orbit(lam_rho).items():
+        for point, sign in _reference_orbit(d, lam_rho).items():
             for cnt, g in zip(row, g_rho):
                 cnt[-sum(map(mul, point, g)) % big_n] += sign
         counts.append(row)
@@ -294,7 +332,7 @@ def _per_point_s_matrix(algebra, level, precision):
     with mp.workdps(precision):
         rows = []
         for lam in basis:
-            orbit = d.weyl_orbit(tuple(x + 1 for x in lam.labels))
+            orbit = _reference_orbit(d, tuple(x + 1 for x in lam.labels))
             row = []
             for mu in basis:
                 mu_rho = tuple(x + 1 for x in mu.labels)

@@ -350,3 +350,17 @@ def test_one_weight_check_and_one_smatrix_cap():
     assert inside and all(inside)
     sources = "".join(path.read_text(encoding="utf-8") for path in SRC.glob("*.py"))
     assert "_check_same_algebra" not in sources and "FULL_PATH_WEYL_LIMIT" not in sources
+
+
+def test_one_weyl_walker_serves_the_orbits_and_the_s_matrix():
+    # lie.weyl_walk is the one walk of W: the counts keep no loop of their own,
+    # and RootDatum.weyl_orbit is a fold and that walk
+    tree = _tree("smatrix")
+    assert not any(isinstance(n, ast.While) for n in ast.walk(tree))
+    assert any(
+        isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == "lie" and "weyl_walk" in {a.name for a in n.names}
+        for n in ast.walk(tree)
+    )
+    root_datum = next(n for n in _tree("lie").body if isinstance(n, ast.ClassDef) and n.name == "RootDatum")
+    orbit = next(n for n in root_datum.body if isinstance(n, ast.FunctionDef) and n.name == "weyl_orbit")
+    assert "weyl_walk" in {n.func.id for n in ast.walk(orbit) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
