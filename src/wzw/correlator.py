@@ -16,9 +16,15 @@ and empties the deepest layer first.  Every contribution to a term comes
 from a deeper one, so a term is complete when its layer is reached; the
 order inside a layer does not matter, and depth 0 holds only the all-vacuum
 term, whose coefficient is the result.  Modes are conserved, so a move
-files each new term by its depth without summing it.  Each layer keeps a
-bracket table and a push table while it is emptied.  Normal ordering is
+files each new term by its depth without summing it.  Normal ordering is
 one iterative push of a nonnegative mode across a word of negative modes.
+
+A term is filed under its canonical slot words: each maximal run of
+adjacent operators of one commuting class is sorted, the Cartan modes
+forming one class and the modes of one root vector with one sign another.
+For m, n < 0 the brackets [H(m), H'(n)] and [X+-r(m), X+-r(n)] vanish,
+central term included, so the sorted word is the same vector of U(g_-)|0>,
+and terms that differ only by such swaps merge before they are gauged.
 
 Scalars are polynomials in declared pairing symbols; the central element
 acts by the integer level.  Coefficients are exact integers, and Fractions
@@ -30,10 +36,9 @@ two distinct root symbols is rejected, matching the declared symbol set.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import groupby, product
 from typing import NamedTuple
 
 
@@ -353,7 +358,7 @@ def case_cartan_insertion(root: str = "b", cartan: str = "H") -> CorrelatorState
 # normal ordering and gauge moves
 
 
-def _push(word, op, env, brackets):
+def _push(word, op, env):
     """op . word |0> for an all-negative word and op.mode >= 0, as {word: coefficient}.
 
     The carried mode walks left to right.  At position j each bracket term
@@ -362,9 +367,7 @@ def _push(word, op, env, brackets):
     meets the vacuum and vanishes.  The stack holds one entry per position
     still to try, the rightmost on top, and what a bracket carries goes on
     top of the rest: a fixed depth-first order, which decides the failing
-    bracket that raises first.  brackets[operator][carried] holds the
-    apply_bracket list of that pair for the operators that have a row: it
-    is filled here and shared by the caller's pushes.
+    bracket that raises first.
     """
     out = {}
     # carried mode, coefficient (None: 1, saving a product), untouched start, kept, position
@@ -372,17 +375,22 @@ def _push(word, op, env, brackets):
     while todo:
         carried, coeff, start, kept, j = todo.pop()
         head = kept + word[start:j]
-        row = brackets.get(word[j], {})  # an operator without a row keeps nothing
-        terms = row.get(carried)
-        if terms is None:
-            terms = row[carried] = apply_bracket(carried, word[j], env)
-        for c, bop in reversed(terms):
+        for c, bop in reversed(apply_bracket(carried, word[j], env)):
             c = c if coeff is None else coeff * c
             if bop is not None and bop.mode >= 0:
                 todo.extend((bop, c, j + 1, head, i) for i in range(j + 1, len(word)))
             else:
                 _accumulate(out, head + (() if bop is None else (bop,)) + word[j + 1:], c)
     return out
+
+
+def _canonical(word):
+    """An all-negative word with each maximal run of one commuting class sorted, no bracket taken.
+
+    The Cartan modes form one class, the modes of one root vector with one sign another.
+    """
+    runs = groupby(word, lambda op: "h" if op.kind == "h" else op.data)
+    return tuple(op for _, run in runs for op in sorted(run))
 
 
 def _normalize_word(word, env):
@@ -394,7 +402,7 @@ def _normalize_word(word, env):
             if op.mode < 0:
                 _accumulate(new, (op,) + tail, coeff)
             else:
-                for tail2, c2 in _push(tail, op, env, {}).items():
+                for tail2, c2 in _push(tail, op, env).items():
                     _accumulate(new, tail2, coeff * c2)
         out = new
     return out
@@ -432,16 +440,13 @@ def _insertion_modes(i: int, j: int, n: int, max_mode: int):
     return out
 
 
-def _gauge_step(slots, i, env, brackets, pushes):
+def _gauge_step(slots, i, env):
     """One Ward-identity rewrite removing the leading operator of slot i.
 
     Returns {(k, slots): coefficient}, k the inserted mode, with the
     identity's minus sign already folded into the coefficients.  Modes are
     conserved, so removing the leading mode n from a term of depth d and
     pushing k into another slot leaves a term of depth d + n - k.
-    pushes[word][carried] holds the _push result of that pair for the words
-    that have a row, and brackets is the bracket table of the pushes; both
-    are filled here, and what they hold is only read.
     """
     op = slots[i][0]
     rest_i = slots[i][1:]
@@ -454,12 +459,7 @@ def _gauge_step(slots, i, env, brackets, pushes):
             continue
         word = slots[j]
         for k, c in _insertion_modes(i, j, n, _depth(word)):
-            carried = ModeOp(op.kind, op.data, k)
-            row = pushes.get(word, {})  # a word without a row keeps nothing
-            pushed = row.get(carried)
-            if pushed is None:
-                pushed = row[carried] = _push(word, carried, env, brackets)
-            for wj, c2 in pushed.items():
+            for wj, c2 in _push(word, ModeOp(op.kind, op.data, k), env).items():
                 new = list(slots)
                 new[i] = rest_i
                 new[j] = wj
@@ -481,7 +481,7 @@ def gauge_move(state: CorrelatorState, which_slot: int, op: ModeOp, env: Pairing
     for t in state.terms:
         if not t.slots[i] or t.slots[i][0] != op:
             raise ValueError(f"{op} is not the leading operator of slot {which_slot}")
-        for (_, slots), coeff in _gauge_step(t.slots, i, env, {}, {}).items():
+        for (_, slots), coeff in _gauge_step(t.slots, i, env).items():
             new_terms.append(Term(t.coefficient * coeff, slots))
     return CorrelatorState(tuple(new_terms))
 
@@ -507,25 +507,14 @@ def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget:
     layers = [{}]  # layers[d]: {slots: coefficient} for the open terms of total depth d
     for t in state.terms:
         for (w1, c1), (w2, c2), (w3, c3) in product(*(_normalize_word(w, env).items() for w in t.slots)):
-            key = (w1, w2, w3)
+            key = (_canonical(w1), _canonical(w2), _canonical(w3))
             depth = sum(map(_depth, key))
             layers.extend({} for _ in range(depth + 1 - len(layers)))
             _accumulate(layers[depth], key, t.coefficient * c1 * c2 * c3)
     steps = 0
     while len(layers) > 1:
         layer = layers.pop()
-        if not layer:
-            continue
         depth = len(layers)
-        # this layer's tables, dropped with it: a row for each word and each operator that
-        # occurs more than once in the layer, so that a push or bracket that recurs is evaluated once
-        pushes, ops = {}, {}
-        for word, count in Counter(chain.from_iterable(layer)).items():
-            if count > 1:
-                pushes[word] = {}
-            for op in word:
-                ops[op] = ops.get(op, 0) + count
-        brackets = {op: {} for op, count in ops.items() if count > 1}
         while layer:
             key, poly = layer.popitem()  # a moved term is freed at once
             steps += 1
@@ -537,8 +526,8 @@ def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget:
             if not key[i]:
                 raise ValueError(f"strategy chose empty slot {i + 1}")
             removed = depth + key[i][0].mode
-            for (k, slots), coeff in _gauge_step(key, i, env, brackets, pushes).items():
-                _accumulate(layers[removed - k], slots, poly * coeff)
+            for (k, slots), coeff in _gauge_step(key, i, env).items():
+                _accumulate(layers[removed - k], tuple(map(_canonical, slots)), poly * coeff)
     return layers[0].get(((), (), ()), _ZERO)
 
 
@@ -549,7 +538,7 @@ def reduce_state(state: CorrelatorState, env: PairingEnv, strategy=None, budget:
 # reduction, which grows fast with the operators, their modes and the level.
 MAX_SCRIPT_OPERATORS = 200
 # Cap on the total depth sum |mode| of one script.  The reduction keeps a layer per unit
-# of depth; at the cap a one-operator script answers in 0.1-0.2 s cold, at 10^6 in 0.6 s
+# of depth; at the cap a one-operator script answers in 0.06-0.07 s cold, at 10^6 in 0.6 s
 # and 85 MB.
 MAX_SCRIPT_DEPTH = 10_000
 _DEPTH_REFUSAL = f"script modes sum to more than {MAX_SCRIPT_DEPTH} in absolute value (the cap)"

@@ -398,6 +398,19 @@ def test_correlator_scripts_of_the_caps_paragraph_answer_zero(capsys, monkeypatc
 
 
 
+def test_correlator_script_with_long_commuting_runs_answers_within_the_default_budget(capsys, tmp_path):
+    # H(-3)^8 / X+a(-3)^8 / X-a(-3)^8 at level 3 answers after 256 gauge moves: terms
+    # keyed by their slot words in the order the pushes produce them took 27,319 moves
+    # and exited 2 at the default budget of 10,000; the value was captured from such a
+    # run at a raised budget
+    script = tmp_path / "s.txt"
+    script.write_text("level 3\n" + "".join(f"slot{i}:{f' {op}(-3)' * 8}\n" for i, op in enumerate(("H", "X+a", "X-a"), 1)))
+    code, out, _ = run(capsys, "correlator", "--script", str(script), "--json")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert hashlib.sha256(value.encode()).hexdigest() == "8f4702c7febfb1382e77b43110ed8f3e870052d69bcfe66ce82a4bfc82fc1ea8"
+
+
 def test_correlator_script_operator_cap(capsys, tmp_path):
     # the cap bounds time: a script over it exits 2 with one line, one under it answers
     script = tmp_path / "s.txt"

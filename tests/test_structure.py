@@ -266,10 +266,11 @@ def test_correlator_engine_is_iterative():
 _MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem", "clear", "add", "__setitem__"}
 
 
-def test_correlator_tables_are_locals_of_one_layer():
+def test_correlator_keys_are_canonical_words_and_no_memo_is_kept():
     # one bracket or push memo for a whole deep reduction grew to about 1 GB; the
-    # only module-level cache is the symbol cache, and each layer of reduce_state
-    # starts its own tables and drops them when it is done
+    # only module-level cache is the symbol cache.  Terms that differ by a swap of
+    # commuting modes merge under their canonical key, so no per-layer push or
+    # bracket table is kept either
     tree = _tree("correlator")
     top = _defined_names("correlator")
     caches = [
@@ -292,17 +293,19 @@ def test_correlator_tables_are_locals_of_one_layer():
             if isinstance(base, ast.Name) and base.id in top:
                 writes.append(f"{fn.name}:{node.lineno}")
     assert writes == []
-    reduce = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "reduce_state")
-    loop = next(n for n in ast.walk(reduce) if isinstance(n, ast.While))
-    fresh = set()  # names the loop binds to a new dict
-    for node in (n for n in ast.walk(loop) if isinstance(n, ast.Assign)):
-        for target in node.targets:
-            tuples = isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
-            pairs = zip(target.elts, node.value.elts) if tuples else [(target, node.value)]
-            fresh |= {t.id for t, v in pairs if isinstance(t, ast.Name) and isinstance(v, (ast.Dict, ast.DictComp))}
-    assert {"brackets", "pushes"} <= fresh
-    step = next(n for n in ast.walk(loop) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_gauge_step")
-    assert [a.id for a in step.args[-2:]] == ["brackets", "pushes"]
+    defs = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    params = {a.arg for fn in defs.values() for a in fn.args.args + fn.args.kwonlyargs}
+    assert params & {"brackets", "pushes"} == set()
+    # every key reduce_state files, input terms and gauge-step results, passes through _canonical
+    reduce = defs["reduce_state"]
+    bound = {t.id: n.value for n in ast.walk(reduce) if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+    keys = [n.args[1] for n in ast.walk(reduce) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_accumulate"]
+    assert len(keys) == 2
+    for key in keys:
+        expr = bound.get(key.id, key) if isinstance(key, ast.Name) else key
+        assert "_canonical" in {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}, ast.unparse(key)
+    # the sort takes no bracket: it keeps the length of the word
+    assert "apply_bracket" not in {n.id for n in ast.walk(defs["_canonical"]) if isinstance(n, ast.Name)}
 
 
 def test_correlator_pairings_are_read_only():
