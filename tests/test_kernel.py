@@ -4,9 +4,10 @@ Each test recomputes a quantity without the datum's integer Gram matrix,
 chamber fold, orbit walker, dominant-weight walk or affine recursion (from a
 Fraction inverse of the Cartan matrix and a Fraction symmetrizer table, both
 kept here as the oracle since the library uses neither; a hand-written fold
-taking a different reflection path, a walk over root coefficients instead of
-labels, a filter over a full label box, or the finite Freudenthal recursion
-over every positive root) and compares.
+taking a different reflection path, the dense fold the library used before its
+sparse Cartan columns, a walk over root coefficients instead of labels, a
+filter over a full label box, or the finite Freudenthal recursion over every
+positive root) and compares.
 """
 
 import itertools
@@ -15,9 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wzw import InvariantError, lie
 from wzw.lie import (
     MAX_WEIGHT_BOX,
     Labels,
@@ -183,19 +185,24 @@ def test_fold_sign_matches_orbit_sign_for_regular_weights(data):
         assert orbit[x] == sign
 
 
-def full_fold(d, labels, level):
-    """Fold into the level-`level` alcove without stopping early.
+def full_fold(d, labels, level=None, nodes=None):
+    """Fold into the level-`level` alcove without stopping early, or with no
+    level into the dominant chamber; with nodes J, reflect only at J, into the
+    J-dominant point of the W_J-orbit.
 
     Reflects at the last negative label (the library takes the first), so
     the path differs while the endpoint and total shift must agree.
     """
+    walls = range(len(labels)) if nodes is None else nodes
     lab, shift = list(labels), 0
     while True:
-        neg = [i for i, x in enumerate(lab) if x < 0]
+        neg = [i for i in walls if lab[i] < 0]
         if neg:
             c = lab[neg[-1]]
             lab = [x - c * d.cartan[j][neg[-1]] for j, x in enumerate(lab)]
             continue
+        if level is None:
+            return tuple(lab), shift
         excess = sum(a * x for a, x in zip(d.comarks, lab)) - level
         if excess <= 0:
             return tuple(lab), shift
@@ -216,6 +223,94 @@ def test_early_stopping_multiplicity_matches_full_fold(data):
     rep, shift = full_fold(d, x, level)
     expected = mod.multiplicity(rep, depth - shift) if shift <= depth else 0
     assert mod.multiplicity(x, depth) == expected
+
+
+def _node_sets(rank):
+    return [J for k in range(1, rank + 1) for J in itertools.combinations(range(rank), k)]
+
+
+@pytest.mark.parametrize("algebra", [G2, F4], ids=str)
+def test_parabolic_fold_of_every_root_matches_the_last_negative_label_fold(algebra):
+    # only the J-dominant endpoint is compared: the two folds take different paths
+    d = build_root_datum(algebra)
+    roots = d.positive_root_labels + tuple(tuple(-x for x in lab) for lab in d.positive_root_labels)
+    for nodes in _node_sets(d.rank):
+        for lab in roots:
+            assert d.fold(lab, nodes=nodes)[0] == full_fold(d, lab, nodes=nodes)[0], (nodes, lab)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_parabolic_fold_of_random_labels_matches_the_last_negative_label_fold(data):
+    d = build_root_datum(data.draw(st.sampled_from([G2, F4])))
+    x = data.draw(st.tuples(*[st.integers(-6, 6)] * d.rank))
+    nodes = data.draw(st.sampled_from(_node_sets(d.rank)))
+    top = d.fold(x, nodes=nodes)[0]
+    assert top == full_fold(d, x, nodes=nodes)[0]
+    assert all(top[i] >= 0 for i in nodes)
+
+
+def dense_fold(d, labels, kappa=None, limit=None, nodes=None):
+    """RootDatum.fold as it was before the sparse Cartan columns, kept as the reference.
+
+    Every reflection rebuilds the whole label tuple from a dense column of
+    the Cartan matrix or from all labels of theta.  The reflection order is
+    the same, so the whole triple (representative, det w, shift) must agree.
+    """
+    cols = d.cartan_cols
+    walls = range(len(labels)) if nodes is None else nodes
+    lab, sign, shift = labels, 1, 0
+    for _ in range(lie._FOLD_GUARD):
+        for i in walls:
+            c = lab[i]
+            if c < 0:
+                lab = tuple(x - c * y for x, y in zip(lab, cols[i]))
+                sign = -sign
+                break
+        else:
+            excess = 0 if kappa is None else d.level_of(lab) - kappa
+            if excess <= 0:
+                return lab, sign, shift
+            shift += excess
+            if limit is not None and shift > limit:
+                return None
+            lab = tuple(x - excess * t for x, t in zip(lab, d.theta_labels))
+            sign = -sign
+    raise InvariantError(f"chamber fold of {labels} failed to terminate")
+
+
+FOLD_TYPES = [LieAlgebraId.from_string(name) for name in
+              ["A1", "A2", "A4", "A7", "B2", "B5", "B7", "C3", "C5", "C8", "D4", "D5", "D7",
+               "E6", "E7", "E8", "F4", "G2"]]
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_sparse_fold_matches_the_dense_fold(data):
+    d = build_root_datum(data.draw(st.sampled_from(FOLD_TYPES), label="algebra"))
+    x = data.draw(st.tuples(*[st.integers(-6, 6)] * d.rank), label="labels")
+    mode = data.draw(st.sampled_from(["chamber", "alcove", "limit", "nodes"]), label="mode")
+    kappa = limit = nodes = None
+    if mode in ("alcove", "limit"):
+        kappa = data.draw(st.integers(1, d.dual_coxeter + 6), label="kappa")
+    if mode == "limit":
+        shift = dense_fold(d, x, kappa)[2]
+        assume(shift > 0)
+        limit = data.draw(st.integers(0, shift - 1), label="limit")
+    if mode == "nodes":
+        nodes = data.draw(st.sampled_from(_node_sets(d.rank)), label="nodes")
+    folded = d.fold(x, kappa, limit, nodes)
+    assert folded == dense_fold(d, x, kappa, limit, nodes)
+    assert (folded is None) == (mode == "limit")
+
+
+def test_fold_guard_still_raises(monkeypatch):
+    d = build_root_datum(LieAlgebraId("A", 2))
+    assert d.fold((-1, 0)) == ((0, 1), 1, 0)  # s_2 s_1: two reflections
+    monkeypatch.setattr(lie, "_FOLD_GUARD", 1)
+    assert d.fold((1, 0)) == ((1, 0), 1, 0)
+    with pytest.raises(InvariantError, match=r"chamber fold of \(-1, 0\) failed to terminate"):
+        d.fold((-1, 0))
 
 
 def coefficient_box(d, lam):
